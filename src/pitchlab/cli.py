@@ -12,6 +12,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import replace
 
 import yaml
 
@@ -20,7 +21,8 @@ from . import pitch_control as pc
 from . import render
 from . import sim
 from . import trainer as trainer_mod
-from .sim import ConfigError, PitchSpec
+from .sim import (ConfigError, PitchSpec, ScenarioConfig, config_from_dict,
+                  config_to_dict)
 from .vdn import CheckpointFormatError, ShapeMismatchError, VDNLearner
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
@@ -47,10 +49,15 @@ def load_experiment(path: str, *, seeds_csv: str | None = None,
                     baseline: bool = False) -> trainer_mod.ExperimentConfig:
     doc = load_config_dict(path)
     if seeds_csv:
-        doc["seeds"] = [int(s) for s in seeds_csv.split(",") if s.strip()]
+        try:
+            doc["seeds"] = [int(s) for s in seeds_csv.split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(f"--seeds: expected comma-separated integers, "
+                              f"got {seeds_csv!r}") from None
+    config = trainer_mod.ExperimentConfig.from_dict(doc)
     if baseline:
-        doc.setdefault("reward", {})["weight"] = 0.0
-    return trainer_mod.ExperimentConfig.from_dict(doc)
+        config = replace(config, reward=replace(config.reward, weight=0.0))
+    return config
 
 
 def _cmd_train(args) -> int:
@@ -84,7 +91,7 @@ def _cmd_fit_pass_model(args) -> int:
     init = pc.PassModelParams(sigma=args.init_sigma, lam=args.init_lambda)
     params = pc.fit_pass_model(x, k, init=init, tol=args.tol)
     with open(args.out, "w") as f:
-        json.dump(params.to_dict(), f)
+        json.dump(config_to_dict(params), f)
     print(f"sigma={params.sigma!r} lambda={params.lam!r}")
     return 0
 
@@ -92,8 +99,8 @@ def _cmd_fit_pass_model(args) -> int:
 def _pitch_from_args(args) -> PitchSpec:
     if args.config:
         doc = load_config_dict(args.config)
-        scenario = sim.scenario_from_dict(doc.get("scenario", {}))
-        return scenario.pitch
+        return config_from_dict(ScenarioConfig, doc.get("scenario", {}),
+                                "scenario").pitch
     return PitchSpec(length=args.length, width=args.width,
                      grid_m=args.grid_m, grid_n=args.grid_n,
                      goal_half_width=args.goal_half_width)
@@ -137,11 +144,8 @@ def _cmd_render_field(args) -> int:
         state = _state_for_render(args)
         pitch = state.scenario.pitch
 
-    pass_params = pc.PassModelParams()
-    if args.config:
-        doc = load_config_dict(args.config)
-        if doc.get("pass_model"):
-            pass_params = pc.PassModelParams.from_dict(doc["pass_model"])
+    pm = load_config_dict(args.config).get("pass_model") if args.config else None
+    pass_params = config_from_dict(pc.PassModelParams, pm or {}, "pass_model")
 
     if args.epv_grid:
         epv_values, _geom = epv_mod.load_epv_grid(args.epv_grid)
@@ -172,8 +176,7 @@ def _cmd_replay(args) -> int:
     config = load_experiment(args.config)
     scenario = config.scenario
     if args.difficulty is not None:
-        scenario = sim.scenario_from_dict(
-            {**sim.scenario_to_dict(scenario), "difficulty": args.difficulty})
+        scenario = replace(scenario, difficulty=args.difficulty)
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(scenario, args.seed)
     with open(args.out, "w") as f:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,20 +39,13 @@ class PassModelParams:
     """
 
     sigma: float = 0.45
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ConfigError("sigma must be positive and finite")
         if not math.isfinite(self.lam):
             raise ConfigError("lambda must be finite")
-
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "lambda": self.lam}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PassModelParams":
-        return cls(sigma=float(d["sigma"]), lam=float(d["lambda"]))
 
 
 def pass_success_probability(params: PassModelParams,

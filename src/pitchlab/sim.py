@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional, Sequence
@@ -765,41 +766,87 @@ def observe(state: GameState) -> np.ndarray:
 
 # -- serialization -----------------------------------------------------------
 
-def scenario_to_dict(sc: ScenarioConfig) -> dict:
-    d = {
-        "n_defenders": sc.n_defenders, "n_attackers": sc.n_attackers,
-        "difficulty": sc.difficulty, "max_episode_steps": sc.max_episode_steps,
-        "dt": sc.dt,
-        "pitch": {
-            "length": sc.pitch.length, "width": sc.pitch.width,
-            "grid_m": sc.pitch.grid_m, "grid_n": sc.pitch.grid_n,
-            "goal_half_width": sc.pitch.goal_half_width,
-        },
-        "max_speed": sc.max_speed, "gk_control_speed": sc.gk_control_speed,
-        "reaction_time": sc.reaction_time,
-        "attacker_speed_factor": sc.attacker_speed_factor,
-        "dribble_speed_factor": sc.dribble_speed_factor,
-        "tackle_radius": sc.tackle_radius, "press_radius": sc.press_radius,
-        "scoring_zone_depth": sc.scoring_zone_depth,
-        "pass_speed": sc.pass_speed, "shot_speed": sc.shot_speed,
-        "receive_radius": sc.receive_radius,
-        "intercept_radius": sc.intercept_radius,
-        "ball_drag": sc.ball_drag, "noise_max": sc.noise_max,
-        "tackle_prob": sc.tackle_prob, "foul_prob": sc.foul_prob,
-        "decision_period": sc.decision_period,
-    }
-    return d
+def config_to_dict(obj) -> dict:
+    """JSON-ready dict of a config dataclass, keys in field order.  Nested
+    dataclasses become dicts, enums their values and tuples lists; a field
+    whose metadata has a "key" is written under that key."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.metadata.get("key", f.name)] = value
+    return out
 
 
-def scenario_from_dict(d: dict) -> ScenarioConfig:
-    d = dict(d)
-    pitch_d = d.pop("pitch", None)
-    pitch = PitchSpec(**pitch_d) if pitch_d else PitchSpec()
-    known = set(ScenarioConfig.__dataclass_fields__) - {"pitch"}
-    unknown = set(d) - known
+def config_from_dict(cls, doc, path: str):
+    """Inverse of config_to_dict: build dataclass `cls` from a parsed
+    YAML/JSON mapping, checking it against the field annotations.
+
+    Absent fields take their dataclass default; a field without one is
+    required.  Nested dataclasses, enums (by value), `tuple[T, ...]` (from
+    a list), int, float and str are checked strictly: an unknown key at
+    any level, a wrong type (a bool is neither an int nor a float) and a
+    non-finite float are all rejected.  Ints given for float fields are
+    stored as floats.  Every error is a ConfigError that starts with the
+    dotted path of the offending field below `path`, e.g. `train.hidden`;
+    range checks are left to each class's __post_init__.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'}: expected a mapping, "
+                          f"got {type(doc).__name__}")
+    prefix = f"{path}." if path else ""
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(by_key), key=str)
     if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    return ScenarioConfig(pitch=pitch, **d)
+        raise ConfigError(f"{', '.join(f'{prefix}{k}' for k in unknown)}: "
+                          f"unknown field")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in doc:
+            kwargs[f.name] = _decode(hints[f.name], doc[key], prefix + key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{key}: missing field")
+    try:
+        return cls(**kwargs)
+    except ConfigError as e:
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _decode(tp, value, path: str):
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, path)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ConfigError(f"{path}: expected one of "
+                              f"{[m.value for m in tp]}, got {value!r}") from None
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, "
+                              f"got {type(value).__name__} {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {tp.__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+    if tp is float:
+        try:
+            value = float(value)
+        except OverflowError:   # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite float, got {value!r}")
+    return value
 
 
 def save_state(state: GameState, path: str) -> None:
@@ -807,7 +854,7 @@ def save_state(state: GameState, path: str) -> None:
     decisions are not stored; they are recomputed on the next step."""
     doc = {
         "version": 1,
-        "scenario": scenario_to_dict(state.scenario),
+        "scenario": config_to_dict(state.scenario),
         "positions": state.positions.tolist(),
         "velocities": state.velocities.tolist(),
         "ball_pos": state.ball_pos.tolist(),
@@ -832,7 +879,7 @@ def load_state(path: str) -> GameState:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise ConfigError(f"unsupported state file version in {path}")
-    sc = scenario_from_dict(doc["scenario"])
+    sc = config_from_dict(ScenarioConfig, doc["scenario"], "scenario")
     rng = np.random.default_rng(0)
     rng_state = doc["rng_state"]
     # json round-trips the big PCG64 integers as ints already

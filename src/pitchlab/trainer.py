@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from . import epv as epv_mod
 from . import pitch_control as pc
 from . import reward as reward_mod
 from . import sim
-from .sim import ConfigError, GameState, ScenarioConfig
+from .sim import (ConfigError, GameState, ScenarioConfig, config_from_dict,
+                  config_to_dict)
 from .vdn import LearnerConfig, ReplayBuffer, TrainConfig, VDNLearner
 
 # evaluation episode seeds come from train_seed XOR this constant, keeping
@@ -51,6 +52,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if len(self.seeds) == 0:
             raise ConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: duplicate seeds in {list(self.seeds)}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         if self.eval_every < 1:
@@ -69,90 +72,26 @@ class ExperimentConfig:
             return self.eval_difficulties
         return (self.scenario.difficulty,)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": sim.scenario_to_dict(self.scenario),
-            "reward": {
-                "mode": self.reward.mode.value,
-                "weight": self.reward.weight,
-                "gamma": self.reward.gamma,
-            },
-            "train": {
-                "total_steps": self.train.total_steps,
-                "learning_rate": self.train.learning_rate,
-                "gamma": self.train.gamma,
-                "epsilon_start": self.train.epsilon_start,
-                "epsilon_end": self.train.epsilon_end,
-                "epsilon_decay_steps": self.train.epsilon_decay_steps,
-                "batch_size": self.train.batch_size,
-                "target_sync_period": self.train.target_sync_period,
-                "buffer_capacity": self.train.buffer_capacity,
-                "hidden": list(self.train.hidden),
-                "grad_clip": self.train.grad_clip,
-                "update_every": self.train.update_every,
-                "learn_start": self.train.learn_start,
-            },
-            "pass_model": self.pass_model.to_dict(),
-            "epv_source": self.epv_source,
-            "seeds": list(self.seeds),
-            "eval_every": self.eval_every,
-            "eval_episodes": self.eval_episodes,
-            "eval_difficulties": list(self.eval_difficulties),
-            "field_stride": self.field_stride,
-            "obs_mode": self.obs_mode,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {"scenario", "reward", "train", "pass_model", "epv_source",
-                 "seeds", "eval_every", "eval_episodes", "eval_difficulties",
-                 "field_stride", "obs_mode"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        """Strict load through `sim.config_from_dict`, with these rules on
+        top: `scenario`, `train` and `seeds` are required; an absent
+        `reward`, or an absent `reward.gamma`, takes the defaults, with
+        `reward.gamma` defaulting to `train.gamma`; an absent or empty
+        `pass_model` means the default pass model."""
+        doc = dict(d)
         for req in ("scenario", "train", "seeds"):
-            if req not in d:
-                raise ConfigError(f"missing config field '{req}'")
-        scenario = sim.scenario_from_dict(d["scenario"])
-        rw = d.get("reward", {})
-        unknown_rw = set(rw) - {"mode", "weight", "gamma"}
-        if unknown_rw:
-            raise ConfigError(f"unknown reward fields: {sorted(unknown_rw)}")
-        try:
-            mode = reward_mod.ShapingMode(rw.get("mode", "additive"))
-        except ValueError:
-            raise ConfigError(f"unknown reward mode '{rw.get('mode')}'") from None
-        tr = dict(d["train"])
-        if "hidden" in tr:
-            tr["hidden"] = tuple(tr["hidden"])
-        unknown_tr = set(tr) - set(TrainConfig.__dataclass_fields__)
-        if unknown_tr:
-            raise ConfigError(f"unknown train fields: {sorted(unknown_tr)}")
-        train = TrainConfig(**tr)
-        reward_cfg = reward_mod.ShapingConfig(
-            mode=mode,
-            weight=float(rw.get("weight", 0.1)),
-            gamma=float(rw.get("gamma", train.gamma)),
-        )
-        pm = d.get("pass_model")
-        pass_model = pc.PassModelParams.from_dict(pm) if pm else pc.PassModelParams()
-        return cls(
-            scenario=scenario,
-            reward=reward_cfg,
-            train=train,
-            pass_model=pass_model,
-            epv_source=d.get("epv_source", "default"),
-            seeds=tuple(int(s) for s in d["seeds"]),
-            eval_every=int(d.get("eval_every", 2000)),
-            eval_episodes=int(d.get("eval_episodes", 32)),
-            eval_difficulties=tuple(float(x) for x in d.get("eval_difficulties", [])),
-            field_stride=int(d.get("field_stride", 1)),
-            obs_mode=d.get("obs_mode", "global"),
-        )
+            if req not in doc:
+                raise ConfigError(f"{req}: missing field")
+        reward = doc.get("reward", {})
+        if isinstance(reward, dict) and "gamma" not in reward:
+            train = config_from_dict(TrainConfig, doc["train"], "train")
+            doc["reward"] = {**reward, "gamma": train.gamma}
+        doc["pass_model"] = doc.get("pass_model") or {}
+        return config_from_dict(cls, doc, "")
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(config_to_dict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -215,14 +154,15 @@ def _load_epv_values(config: ExperimentConfig) -> np.ndarray:
 
 class _ValueProbe:
     """Computes the attacking game-state EPV on a step stride, holding the
-    last value in between."""
+    last value in between.  Without a grid (weight-0 runs) it is inactive
+    and reports 0."""
 
-    def __init__(self, epv_values: np.ndarray, params: pc.PassModelParams,
-                 stride: int, active: bool):
+    def __init__(self, epv_values: np.ndarray | None,
+                 params: pc.PassModelParams, stride: int):
         self.epv_values = epv_values
         self.params = params
         self.stride = stride
-        self.active = active
+        self.active = epv_values is not None
         self._held = 0.0
         self._count = 0
 
@@ -249,8 +189,7 @@ def run_episode(learner: VDNLearner, scenario: ScenarioConfig, env_seed: int,
                 ) -> EpisodeRecord:
     """One greedy episode; returns its record.  Deterministic given env_seed."""
     if difficulty is not None and difficulty != scenario.difficulty:
-        scenario = sim.scenario_from_dict(
-            {**sim.scenario_to_dict(scenario), "difficulty": difficulty})
+        scenario = replace(scenario, difficulty=difficulty)
     shaper = reward_mod.RewardShaper(shaping, learner.config.gamma)
     state = sim.reset(scenario, env_seed)
     shaper.episode_start(probe.start(state))
@@ -281,9 +220,8 @@ def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
     `seed`; returns the mean goal difference and the records."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    epv_values = _load_epv_values(config)
-    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride,
-                        active=config.reward.weight != 0.0)
+    epv_values = _load_epv_values(config) if config.reward.weight != 0.0 else None
+    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride)
     records = []
     for i in range(n_episodes):
         rec = run_episode(
@@ -342,9 +280,8 @@ def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> dict:
     lcfg = train.learner_config(scenario.n_defenders, obs_dim, sim.N_ACTIONS)
     learner = VDNLearner(lcfg, seed)
     shaper = reward_mod.RewardShaper(config.reward, train.gamma)
-    epv_values = _load_epv_values(config)
-    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride,
-                        active=shaper.needs_value)
+    epv_values = _load_epv_values(config) if shaper.needs_value else None
+    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride)
     buffer = ReplayBuffer(train.buffer_capacity, scenario.n_defenders, obs_dim)
     action_rng = np.random.default_rng(
         np.random.SeedSequence([seed & _MASK64, 0xACCE55]))
@@ -425,7 +362,7 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     run_dir = os.path.join(out_dir, f"run-{config.config_hash()}")
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(config_to_dict(config), f, indent=2, sort_keys=True)
 
     def one(seed: int) -> None:
         seed_dir = os.path.join(run_dir, f"seed-{seed}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import ConfigError
+from .sim import ConfigError, config_from_dict, config_to_dict
 
 
 class ShapeMismatchError(ValueError):
@@ -402,15 +402,7 @@ class VDNLearner:
         doc = {
             "version": 1,
             "train_step": self.train_step,
-            "config": {
-                "n_agents": self.config.n_agents,
-                "obs_dim": self.config.obs_dim,
-                "n_actions": self.config.n_actions,
-                "hidden": list(self.config.hidden),
-                "lr": self.config.lr,
-                "gamma": self.config.gamma,
-                "grad_clip": self.config.grad_clip,
-            },
+            "config": config_to_dict(self.config),
             "agents": [dump_params(p) for p in self.agents],
             "targets": [dump_params(p) for p in self.targets],
         }
@@ -421,6 +413,13 @@ class VDNLearner:
 
     @classmethod
     def load(cls, path: str) -> "VDNLearner":
+        """Read a checkpoint written by save(), validating it whole: the
+        `config` block must hold every LearnerConfig field, `train_step`
+        must be a non-negative int, there must be `n_agents` agent and
+        target networks, each with layer shapes equal to the
+        [obs_dim, *hidden, n_actions] pairs, and every weight and bias
+        must be finite.  Any violation raises CheckpointFormatError naming
+        the file and the field."""
         try:
             with open(path) as f:
                 doc = json.load(f)
@@ -431,29 +430,42 @@ class VDNLearner:
         for key in ("train_step", "config", "agents", "targets"):
             if key not in doc:
                 raise CheckpointFormatError(f"{path}: missing key '{key}'")
-        c = doc["config"]
-        config = LearnerConfig(
-            n_agents=c["n_agents"], obs_dim=c["obs_dim"],
-            n_actions=c["n_actions"], hidden=tuple(c["hidden"]),
-            lr=c["lr"], gamma=c["gamma"], grad_clip=c["grad_clip"],
-        )
+        try:
+            config = config_from_dict(LearnerConfig, doc["config"], "config")
+        except ConfigError as e:
+            raise CheckpointFormatError(f"{path}: {e}") from None
+        missing = [k for k in config_to_dict(config) if k not in doc["config"]]
+        if missing:
+            raise CheckpointFormatError(f"{path}: config.{missing[0]}: missing field")
+        step = doc["train_step"]
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise CheckpointFormatError(
+                f"{path}: train_step: expected an int >= 0, got {step!r}")
+        sizes = [config.obs_dim, *config.hidden, config.n_actions]
+        shapes = [[m, n] for m, n in zip(sizes[:-1], sizes[1:])]
+
+        def load_params(d, where: str) -> QNetwork:
+            if not isinstance(d, dict) or d.get("layer_shapes") != shapes:
+                raise CheckpointFormatError(
+                    f"{path}: {where}.layer_shapes: expected {shapes} from config")
+            try:
+                ws = [np.array(w, dtype=float).reshape(s)
+                      for w, s in zip(d["weights"], shapes, strict=True)]
+                bs = [np.array(b, dtype=float).reshape(s[1])
+                      for b, s in zip(d["biases"], shapes, strict=True)]
+            except (KeyError, TypeError, ValueError) as e:
+                raise CheckpointFormatError(f"{path}: {where}: {e}") from None
+            if not all(np.isfinite(a).all() for a in (*ws, *bs)):
+                raise CheckpointFormatError(f"{path}: {where}: non-finite value")
+            return QNetwork(ws, bs)
+
         learner = cls(config, seed=0)
-
-        def load_params(d: dict) -> QNetwork:
-            weights, biases = [], []
-            for shape, flat, b in zip(d["layer_shapes"], d["weights"], d["biases"]):
-                arr = np.array(flat, dtype=float)
-                if arr.size != shape[0] * shape[1]:
-                    raise CheckpointFormatError(
-                        f"{path}: weight block size {arr.size} does not match "
-                        f"shape {shape}")
-                weights.append(arr.reshape(shape))
-                biases.append(np.array(b, dtype=float))
-            return QNetwork(weights, biases)
-
-        if len(doc["agents"]) != config.n_agents:
-            raise CheckpointFormatError(f"{path}: agent count mismatch")
-        learner.agents = [load_params(d) for d in doc["agents"]]
-        learner.targets = [load_params(d) for d in doc["targets"]]
-        learner.train_step = int(doc["train_step"])
+        for key in ("agents", "targets"):
+            nets = doc[key]
+            if not isinstance(nets, list) or len(nets) != config.n_agents:
+                raise CheckpointFormatError(
+                    f"{path}: {key}: expected {config.n_agents} networks")
+            setattr(learner, key, [load_params(d, f"{key}[{a}]")
+                                   for a, d in enumerate(nets)])
+        learner.train_step = step
         return learner

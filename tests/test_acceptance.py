@@ -7,8 +7,10 @@ measured numbers, bypassing output capture so the verdicts always appear.
 """
 
 import itertools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -344,8 +346,16 @@ def test_criterion_7_shaping_beats_baseline(capsys, tmp_path):
     shaped_cfg = cli.load_experiment(DESK_CONFIG)
     base_cfg = cli.load_experiment(DESK_CONFIG, baseline=True)
     assert shaped_cfg.reward.weight != 0.0 and base_cfg.reward.weight == 0.0
-    shaped_dir = trainer.run_training(shaped_cfg, str(tmp_path / "shaped"))
-    base_dir = trainer.run_training(base_cfg, str(tmp_path / "baseline"))
+    # the two runs are independent and deterministic, so they train side by
+    # side in two processes; each run's seeds stay in its own process
+    with ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        shaped_run = pool.submit(trainer.run_training, shaped_cfg,
+                                 str(tmp_path / "shaped"))
+        base_run = pool.submit(trainer.run_training, base_cfg,
+                               str(tmp_path / "baseline"))
+        shaped_dir, base_dir = shaped_run.result(), base_run.result()
     seeds = shaped_cfg.seeds
     shaped = final_evals(shaped_dir, seeds)
     base = final_evals(base_dir, seeds)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import yaml
 
 from pitchlab import epv, pitch_control as pc, sim, trainer
@@ -27,7 +28,7 @@ def micro_config_dict(weight=0.1, seeds=(1,)):
         eval_every=30,
         eval_episodes=2,
     )
-    return cfg.to_dict()
+    return sim.config_to_dict(cfg)
 
 
 def write_yaml(path, doc):
@@ -72,6 +73,42 @@ def test_unknown_config_field_exits_2(tmp_path, capsys):
     assert "optimizer" in capsys.readouterr().err
 
 
+def _set(*keys, value):
+    def mutate(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_set("scenario", "pitch", "corner_flags", value=4), "scenario.pitch.corner_flags"),
+    (_set("train", "hidden", value=64), "train.hidden"),
+    (_set("train", "learning_rate", value="fast"), "train.learning_rate"),
+    (_set("seeds", value=3), "seeds"),
+    (_set("reward", value=0.1), "reward"),
+    (_set("train", value=None), "train"),
+    (_set("scenario", value=[2, 3]), "scenario"),
+    (_set("eval_difficulties", value="0.5"), "eval_difficulties"),
+    (_set("scenario", "dt", value=float("nan")), "scenario.dt"),
+    (_set("scenario", "max_speed", value=float("inf")), "scenario.max_speed"),
+    (_set("scenario", "pass_speed", value=10**400), "scenario.pass_speed"),
+    (_set("reward", "weight", value=float("nan")), "reward.weight"),
+    (_set("train", "total_steps", value=1000.5), "train.total_steps"),
+    (_set("scenario", "difficulty", value=True), "scenario.difficulty"),
+    (_set("seeds", value=[1, 1]), "seeds"),
+])
+def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path):
+    doc = micro_config_dict()
+    mutate(doc)
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    out_dir = tmp_path / "out"
+    rc = main(["train", "--config", cfg_path, "--out", str(out_dir)])
+    assert rc == 2
+    assert f"{path}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_insufficient_fit_data_exits_3(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("x,k\n" + "".join(f"{0.1 * i},1\n" for i in range(20)))
@@ -93,7 +130,8 @@ def test_fit_pass_model_recovers_parameters(tmp_path, capsys):
     rc = main(["fit-pass-model", "--events", str(events), "--out", str(out)])
     assert rc == 0
     assert "sigma=" in capsys.readouterr().out
-    fitted = pc.PassModelParams.from_dict(json.loads(out.read_text()))
+    fitted = sim.config_from_dict(pc.PassModelParams,
+                                  json.loads(out.read_text()), "pass_model")
     assert abs(fitted.sigma - 0.45) < 0.45 * 0.15
     assert abs(fitted.lam - 0.2) < 0.1
 

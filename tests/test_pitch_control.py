@@ -52,9 +52,9 @@ def test_params_require_positive_sigma():
 
 def test_params_dict_roundtrip():
     p = pc.PassModelParams(sigma=0.37, lam=-0.12)
-    q = pc.PassModelParams.from_dict(p.to_dict())
-    assert q == p
-    assert "lambda" in p.to_dict()
+    d = sim.config_to_dict(p)
+    assert d == {"sigma": 0.37, "lambda": -0.12}
+    assert sim.config_from_dict(pc.PassModelParams, d, "pass_model") == p
 
 
 def test_log_likelihood_matches_direct_formula():

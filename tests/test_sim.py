@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,15 +65,23 @@ def test_player_count_includes_goalkeeper():
 
 
 def test_scenario_dict_roundtrip():
-    sc = small_scenario(difficulty=0.6, max_episode_steps=123)
-    assert sim.scenario_from_dict(sim.scenario_to_dict(sc)) == sc
+    for sc in (small_scenario(difficulty=0.6, max_episode_steps=123),
+               small_scenario(pitch=PitchSpec(length=90.0, grid_m=8)),
+               ScenarioConfig()):
+        d = sim.config_to_dict(sc)
+        assert list(d) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert sim.config_from_dict(ScenarioConfig, d, "scenario") == sc
+    # ints given for float fields are stored as floats
+    sc = sim.config_from_dict(ScenarioConfig, {"dt": 1, "pitch": {"width": 60}},
+                              "scenario")
+    assert type(sc.dt) is float and type(sc.pitch.width) is float
 
 
 def test_scenario_dict_rejects_unknown_field():
-    d = sim.scenario_to_dict(small_scenario())
+    d = sim.config_to_dict(small_scenario())
     d["wind_speed"] = 3.0
-    with pytest.raises(ConfigError):
-        sim.scenario_from_dict(d)
+    with pytest.raises(ConfigError, match=r"scenario\.wind_speed"):
+        sim.config_from_dict(ScenarioConfig, d, "scenario")
 
 
 # -- reset --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pitchlab import epv, pitch_control as pc, reward, sim, trainer
+from pitchlab import cli, epv, pitch_control as pc, reward, sim, trainer
 from pitchlab.reward import ShapingConfig, ShapingMode
 from pitchlab.sim import ConfigError, ScenarioConfig
 from pitchlab.trainer import (
@@ -101,9 +101,23 @@ def test_per_agent_observations_egocentric_swaps_self_to_front():
 
 def test_config_dict_roundtrip():
     cfg = tiny_config(eval_difficulties=(0.95, 0.5), obs_mode="egocentric")
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    assert again.config_hash() == cfg.config_hash()
+    doc = sim.config_to_dict(cfg)
+    # config.json carries the dict through JSON text
+    for d in (doc, json.loads(json.dumps(doc))):
+        for again in (ExperimentConfig.from_dict(d),
+                      sim.config_from_dict(ExperimentConfig, d, "")):
+            assert again == cfg
+            assert again.config_hash() == cfg.config_hash()
+
+
+def test_config_hash_of_shipped_configs_is_pinned():
+    # the hash names the run directory, run-<hash>
+    configs = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "configs")
+    for name, expected in (("desk_2v3", "473aa9d561b1"),
+                           ("full_4v6", "e878f69a9231")):
+        cfg = cli.load_experiment(os.path.join(configs, f"{name}.yaml"))
+        assert cfg.config_hash() == expected
 
 
 def test_config_hash_changes_with_content():
@@ -114,28 +128,28 @@ def test_config_hash_changes_with_content():
 
 
 def test_config_rejects_unknown_fields():
-    d = tiny_config().to_dict()
+    d = sim.config_to_dict(tiny_config())
     d["optimizer"] = "adam"
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
 
 
 def test_config_rejects_unknown_train_field():
-    d = tiny_config().to_dict()
+    d = sim.config_to_dict(tiny_config())
     d["train"]["momentum"] = 0.9
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
 
 
 def test_config_rejects_unknown_reward_mode():
-    d = tiny_config().to_dict()
+    d = sim.config_to_dict(tiny_config())
     d["reward"]["mode"] = "multiplicative"
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
 
 
 def test_config_requires_core_fields():
-    d = tiny_config().to_dict()
+    d = sim.config_to_dict(tiny_config())
     del d["scenario"]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
@@ -144,6 +158,8 @@ def test_config_requires_core_fields():
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(seeds=())
+    with pytest.raises(ConfigError, match="seeds"):
+        tiny_config(seeds=(1, 1))
     with pytest.raises(ConfigError):
         tiny_config(obs_mode="first_person")
     with pytest.raises(ConfigError):
@@ -230,7 +246,7 @@ def test_inactive_probe_reports_no_epv():
 def test_value_probe_holds_between_strides():
     cfg = tiny_config(field_stride=4)
     values = trainer._load_epv_values(cfg)
-    probe = trainer._ValueProbe(values, cfg.pass_model, stride=4, active=True)
+    probe = trainer._ValueProbe(values, cfg.pass_model, stride=4)
     st = sim.reset(cfg.scenario, 0)
     v0 = probe.start(st)
     held = []
@@ -300,6 +316,16 @@ def test_step_zero_eval_ignores_shaping_weight(tmp_path):
 
     assert step0(d_base)["mean_goal_difference"] == \
         step0(d_shaped)["mean_goal_difference"]
+
+
+def test_weight_zero_run_never_solves_the_epv_grid(tmp_path, monkeypatch):
+    calls = []
+    solve = epv.solve_epv
+    monkeypatch.setattr(epv, "solve_epv",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    run_training(tiny_config(total_steps=100, eval_every=50, weight=0.0),
+                 str(tmp_path))
+    assert calls == []
 
 
 def test_failed_seed_writes_error_row(tmp_path, monkeypatch):
