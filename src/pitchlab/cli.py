@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import itertools
 import json
 import os
 import sys
@@ -125,13 +126,9 @@ def _state_for_render(args) -> sim.GameState:
     config = load_experiment(args.config)
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(config.scenario, args.seed)
-    for _ in range(args.at_step):
-        if state.terminal:
-            break
-        obs = sim.observe(state)
-        agent_obs = trainer_mod.per_agent_observations(
-            config.scenario, obs, config.obs_mode)
-        state, _events = sim.step(state, learner.greedy_actions(agent_obs))
+    rollout = trainer_mod.greedy_rollout(learner, state, config.obs_mode)
+    for _ in itertools.islice(rollout, max(args.at_step, 0)):
+        pass
     return state
 
 
@@ -148,11 +145,7 @@ def _cmd_render_field(args) -> int:
     pass_params = config_from_dict(pc.PassModelParams, pm or {}, "pass_model")
 
     if args.epv_grid:
-        epv_values, _geom = epv_mod.load_epv_grid(args.epv_grid)
-        if epv_values.shape != (pitch.grid_m, pitch.grid_n):
-            raise epv_mod.DimensionMismatchError(
-                f"{args.epv_grid}: grid {epv_values.shape} does not match "
-                f"pitch {(pitch.grid_m, pitch.grid_n)}")
+        epv_values, _geom = epv_mod.load_epv_grid(args.epv_grid, pitch)
     elif what in ("epv", "overlay"):
         epv_values = epv_mod.solve_epv(epv_mod.default_chain(pitch))
     else:
@@ -180,19 +173,12 @@ def _cmd_replay(args) -> int:
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(scenario, args.seed)
     with open(args.out, "w") as f:
-        while not state.terminal:
-            obs = sim.observe(state)
-            agent_obs = trainer_mod.per_agent_observations(
-                scenario, obs, config.obs_mode)
-            actions = learner.greedy_actions(agent_obs)
-            state, events = sim.step(state, actions)
+        for actions, events in trainer_mod.greedy_rollout(learner, state,
+                                                          config.obs_mode):
             row = sim.snapshot(state)
             row["actions"] = [int(a) for a in actions]
-            row["events"] = {
-                "goal": events.goal, "out_of_bounds": events.out_of_bounds,
-                "turnover": events.turnover, "tackle": events.tackle,
-                "foul": events.foul,
-            }
+            row["events"] = {k: getattr(events, k) for k in (
+                "goal", "out_of_bounds", "turnover", "tackle", "foul")}
             f.write(json.dumps(row, sort_keys=True) + "\n")
         print(f"{args.out}: {state.step_index} steps, "
               f"outcome {state.outcome.kind.value}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import PitchSpec
+from .sim import PitchSpec, write_json_atomic
 
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
@@ -185,7 +185,7 @@ def save_epv_grid(path: str, values: np.ndarray, pitch: PitchSpec) -> None:
     if np.any(values < 0) or np.any(values > 1):
         raise FormatError("grid values must lie in [0, 1]")
     m, n = values.shape
-    doc = {
+    write_json_atomic(path, {
         "version": 1,
         "length": pitch.length,
         "width": pitch.width,
@@ -193,16 +193,16 @@ def save_epv_grid(path: str, values: np.ndarray, pitch: PitchSpec) -> None:
         "m": m,
         "n": n,
         "values": [float(v) for v in values.ravel()],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    })
 
 
-def load_epv_grid(path: str) -> tuple[np.ndarray, dict]:
+def load_epv_grid(path: str, pitch: PitchSpec | None = None
+                  ) -> tuple[np.ndarray, dict]:
     """Read a value grid; returns (values, geometry dict).
 
     Raises FormatError on missing keys, wrong version, a flat values list
-    whose length is not m*n, or values outside [0, 1].
+    whose length is not m*n, or values outside [0, 1], and
+    DimensionMismatchError when a given `pitch` has another grid shape.
     """
     try:
         with open(path) as f:
@@ -225,6 +225,10 @@ def load_epv_grid(path: str) -> tuple[np.ndarray, dict]:
     arr = np.array(flat, dtype=float).reshape(m, n)
     if np.any(arr < 0) or np.any(arr > 1):
         raise FormatError(f"{path}: values outside [0, 1]")
+    if pitch is not None and arr.shape != (pitch.grid_m, pitch.grid_n):
+        raise DimensionMismatchError(
+            f"{path}: grid {arr.shape} does not match pitch grid "
+            f"{(pitch.grid_m, pitch.grid_n)}")
     geom = {"length": doc["length"], "width": doc["width"],
             "goal_half_width": doc["goal_half_width"]}
     return arr, geom

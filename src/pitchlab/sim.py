@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, IntEnum
@@ -67,10 +69,6 @@ class PitchSpec:
     @property
     def goal_center(self) -> tuple[float, float]:
         return (0.0, self.width / 2.0)
-
-    @property
-    def cell_size(self) -> tuple[float, float]:
-        return (self.length / self.grid_m, self.width / self.grid_n)
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
@@ -219,13 +217,6 @@ class PlayerState:
     reaction_time: float
 
 
-@dataclass
-class BallState:
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    carrier: Optional[int]
-
-
 class CarrierOption(Enum):
     DRIBBLE = "dribble"
     PASS = "pass"
@@ -314,14 +305,6 @@ class GameState:
                 reaction_time=float(self.reaction_times[i]),
             ))
         return out
-
-    @property
-    def ball(self) -> BallState:
-        return BallState(
-            position=(float(self.ball_pos[0]), float(self.ball_pos[1])),
-            velocity=(float(self.ball_vel[0]), float(self.ball_vel[1])),
-            carrier=self.carrier,
-        )
 
 
 def reset(scenario: ScenarioConfig, seed: int) -> GameState:
@@ -849,10 +832,23 @@ def _decode(tp, value, path: str):
     return value
 
 
+def write_json_atomic(path: str, doc) -> None:
+    """json.dump `doc` to a temporary file beside `path`, then os.replace it
+    over `path`, so a write that fails midway leaves the old file intact."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(doc, f)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_state(state: GameState, path: str) -> None:
     """Write a JSON snapshot (kinematics, rng, bookkeeping).  Cached attacker
     decisions are not stored; they are recomputed on the next step."""
-    doc = {
+    write_json_atomic(path, {
         "version": 1,
         "scenario": config_to_dict(state.scenario),
         "positions": state.positions.tolist(),
@@ -869,39 +865,87 @@ def save_state(state: GameState, path: str) -> None:
             "goal_difference": state.outcome.goal_difference,
         },
         "rng_state": state.rng.bit_generator.state,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    })
+
+
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return type(value) is int and lo <= value < hi
+
+
+def _is_outcome(value) -> bool:
+    if not isinstance(value, dict) or set(value) != {"kind", "goal_difference"}:
+        return False
+    gd = -1 if value["kind"] == OutcomeKind.GOAL_CONCEDED.value else 0
+    return (value["kind"] in {k.value for k in OutcomeKind}
+            and _is_int_in(value["goal_difference"], gd, gd + 1))
 
 
 def load_state(path: str) -> GameState:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("version") != 1:
+    """Read a file written by save_state, checking every field against the
+    scenario it carries.  Any violation raises ConfigError naming the file
+    and the field."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ConfigError(f"unsupported state file version in {path}")
-    sc = config_from_dict(ScenarioConfig, doc["scenario"], "scenario")
+    fields = {"version", "scenario", "positions", "velocities", "ball_pos",
+              "ball_vel", "carrier", "kick_shield", "step_index",
+              "score_events", "terminal", "outcome", "rng_state"}
+    if set(doc) != fields:
+        key = sorted(set(doc) ^ fields)[0]
+        raise ConfigError(f"{path}: {key}: "
+                          f"{'unknown' if key in doc else 'missing'} field")
+    try:
+        sc = config_from_dict(ScenarioConfig, doc["scenario"], "scenario")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+    def require(ok: bool, key: str, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"{path}: {key}: expected {what}, "
+                              f"got {json.dumps(doc[key])[:60]}")
+
+    P, T = sc.n_players, sc.max_episode_steps
+    for key, shape in (("positions", (P, 2)), ("velocities", (P, 2)),
+                       ("ball_pos", (2,)), ("ball_vel", (2,))):
+        try:
+            arr = np.array(doc[key], dtype=float)
+        except (TypeError, ValueError):
+            arr = np.array(np.nan)
+        require(arr.shape == shape and np.isfinite(arr).all(), key,
+                f"a {shape} array of finite numbers")
+    for key in ("carrier", "kick_shield"):
+        require(doc[key] is None or _is_int_in(doc[key], 0, P), key,
+                f"null or a player index below {P}")
+    require(_is_int_in(doc["step_index"], 0, T + 1), "step_index",
+            f"an int in [0, {T}]")
+    require(isinstance(doc["score_events"], list)
+            and all(isinstance(e, dict) for e in doc["score_events"]),
+            "score_events", "a list of objects")
+    require(type(doc["terminal"]) is bool, "terminal", "true or false")
+    require(_is_outcome(doc["outcome"]) if doc["terminal"]
+            else doc["outcome"] is None, "outcome",
+            "null for a live state, else a kind and its goal difference")
     rng = np.random.default_rng(0)
-    rng_state = doc["rng_state"]
-    # json round-trips the big PCG64 integers as ints already
-    rng.bit_generator.state = rng_state
-    state = GameState(
-        sc,
-        np.array(doc["positions"], dtype=float),
-        np.array(doc["velocities"], dtype=float),
-        np.array(doc["ball_pos"], dtype=float),
-        np.array(doc["ball_vel"], dtype=float),
-        doc["carrier"],
-        rng,
-    )
+    try:   # json round-trips the big PCG64 integers as ints already
+        rng.bit_generator.state = doc["rng_state"]
+        same = rng.bit_generator.state == doc["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError):
+        same = False
+    require(same, "rng_state", "a PCG64 bit-generator state")
+    state = GameState(sc, *(np.array(doc[k], dtype=float) for k in
+                            ("positions", "velocities", "ball_pos", "ball_vel")),
+                      doc["carrier"], rng)
     state.kick_shield = doc["kick_shield"]
     state.step_index = doc["step_index"]
     state.score_events = doc["score_events"]
     state.terminal = doc["terminal"]
     if doc["outcome"] is not None:
-        state.outcome = EpisodeOutcome(
-            kind=OutcomeKind(doc["outcome"]["kind"]),
-            goal_difference=doc["outcome"]["goal_difference"],
-        )
+        state.outcome = EpisodeOutcome(OutcomeKind(doc["outcome"]["kind"]),
+                                       doc["outcome"]["goal_difference"])
     return state
 
 

@@ -140,95 +140,93 @@ def per_agent_observations(scenario: ScenarioConfig, obs: np.ndarray,
     return out
 
 
-def _load_epv_values(config: ExperimentConfig) -> np.ndarray:
+def _load_epv_values(config: ExperimentConfig) -> np.ndarray | None:
+    """The EPV grid a shaped config values states with; None at weight 0."""
+    if config.reward.weight == 0.0:
+        return None
     pitch = config.scenario.pitch
     if config.epv_source == "default":
         return epv_mod.solve_epv(epv_mod.default_chain(pitch))
-    values, geom = epv_mod.load_epv_grid(config.epv_source)
-    if values.shape != (pitch.grid_m, pitch.grid_n):
-        raise epv_mod.DimensionMismatchError(
-            f"EPV grid {values.shape} does not match pitch grid "
-            f"{(pitch.grid_m, pitch.grid_n)}")
-    return values
+    return epv_mod.load_epv_grid(config.epv_source, pitch)[0]
 
 
-class _ValueProbe:
-    """Computes the attacking game-state EPV on a step stride, holding the
-    last value in between.  Without a grid (weight-0 runs) it is inactive
-    and reports 0."""
+class EpisodeTally:
+    """Per-episode bookkeeping for training and evaluation: the game-state
+    EPV every `field_stride` steps, held in between (0 without a grid), the
+    shaped reward, and the running sums an EpisodeRecord reports."""
 
-    def __init__(self, epv_values: np.ndarray | None,
-                 params: pc.PassModelParams, stride: int):
+    def __init__(self, config: ExperimentConfig, gamma: float,
+                 epv_values: np.ndarray | None):
+        self.shaper = reward_mod.RewardShaper(config.reward, gamma)
+        self.config = config
         self.epv_values = epv_values
-        self.params = params
-        self.stride = stride
-        self.active = epv_values is not None
-        self._held = 0.0
-        self._count = 0
 
-    def start(self, state: GameState) -> float:
-        self._count = 0
-        if not self.active:
-            self._held = 0.0
-            return 0.0
-        field = pc.compute_control_field(state, self.params)
-        self._held = epv_mod.game_state_epv(field, self.epv_values)
-        return self._held
+    def _state_value(self, state: GameState) -> float:
+        field = pc.compute_control_field(state, self.config.pass_model)
+        return epv_mod.game_state_epv(field, self.epv_values)
 
-    def after_step(self, state: GameState) -> float:
-        self._count += 1
-        if self.active and self._count % self.stride == 0:
-            field = pc.compute_control_field(state, self.params)
-            self._held = epv_mod.game_state_epv(field, self.epv_values)
-        return self._held
+    def start(self, state: GameState) -> None:
+        self.steps = 0
+        self.shaped = self.sparse = self.epv_sum = 0.0
+        self.value = 0.0 if self.epv_values is None else self._state_value(state)
+        self.shaper.episode_start(self.value)
 
-
-def run_episode(learner: VDNLearner, scenario: ScenarioConfig, env_seed: int,
-                shaping: reward_mod.ShapingConfig, probe: _ValueProbe,
-                obs_mode: str, *, difficulty: float | None = None
-                ) -> EpisodeRecord:
-    """One greedy episode; returns its record.  Deterministic given env_seed."""
-    if difficulty is not None and difficulty != scenario.difficulty:
-        scenario = replace(scenario, difficulty=difficulty)
-    shaper = reward_mod.RewardShaper(shaping, learner.config.gamma)
-    state = sim.reset(scenario, env_seed)
-    shaper.episode_start(probe.start(state))
-    epv_sum, shaped_ret, sparse_ret, steps = 0.0, 0.0, 0.0, 0
-    while not state.terminal:
-        obs = sim.observe(state)
-        agent_obs = per_agent_observations(scenario, obs, obs_mode)
-        actions = learner.greedy_actions(agent_obs)
-        state, events = sim.step(state, actions)
-        value = probe.after_step(state)
-        epv_sum += value
+    def step(self, state: GameState, events: sim.StepEvents) -> float:
+        """Books the step that landed in `state`; returns its shaped reward."""
+        self.steps += 1
+        if self.epv_values is not None \
+                and self.steps % self.config.field_stride == 0:
+            self.value = self._state_value(state)
         sparse = reward_mod.sparse_reward(events)
-        shaped_ret += shaper.step(sparse, value)
-        sparse_ret += sparse
-        steps += 1
-    return EpisodeRecord(
-        seed=env_seed, episode=0, steps=steps,
-        outcome=state.outcome.kind.value,
-        goal_difference=state.outcome.goal_difference,
-        shaped_return=shaped_ret, sparse_return=sparse_ret,
-        mean_epv=(epv_sum / steps if probe.active else None),
-    )
+        shaped = self.shaper.step(sparse, self.value)
+        self.shaped += shaped
+        self.sparse += sparse
+        self.epv_sum += self.value
+        return shaped
+
+    def record(self, state: GameState, env_seed: int,
+               episode: int) -> EpisodeRecord:
+        return EpisodeRecord(
+            seed=env_seed, episode=episode, steps=self.steps,
+            outcome=state.outcome.kind.value,
+            goal_difference=state.outcome.goal_difference,
+            shaped_return=self.shaped, sparse_return=self.sparse,
+            mean_epv=(None if self.epv_values is None
+                      else self.epv_sum / self.steps),
+        )
+
+
+def greedy_rollout(learner: VDNLearner, state: GameState, obs_mode: str):
+    """Plays `state` greedily to its end, advancing it in place, and yields
+    (actions, events) after each step."""
+    while not state.terminal:
+        obs = per_agent_observations(state.scenario, sim.observe(state), obs_mode)
+        actions = learner.greedy_actions(obs)
+        _, events = sim.step(state, actions)
+        yield actions, events
 
 
 def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
-             n_episodes: int, seed: int) -> tuple[float, list[EpisodeRecord]]:
+             n_episodes: int, seed: int, *,
+             epv_values: np.ndarray | None = None
+             ) -> tuple[float, list[EpisodeRecord]]:
     """Greedy evaluation: n_episodes with per-episode seeds derived from
-    `seed`; returns the mean goal difference and the records."""
+    `seed`; returns the mean goal difference and the records.  A shaped
+    config's EPV grid is solved or read here unless `epv_values` holds it."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    epv_values = _load_epv_values(config) if config.reward.weight != 0.0 else None
-    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride)
+    if epv_values is None:
+        epv_values = _load_epv_values(config)
+    tally = EpisodeTally(config, learner.config.gamma, epv_values)
+    scenario = replace(config.scenario, difficulty=difficulty)
     records = []
     for i in range(n_episodes):
-        rec = run_episode(
-            learner, config.scenario, episode_seed(seed, i), config.reward,
-            probe, config.obs_mode, difficulty=difficulty)
-        rec.episode = i
-        records.append(rec)
+        env_seed = episode_seed(seed, i)
+        state = sim.reset(scenario, env_seed)
+        tally.start(state)
+        for _, events in greedy_rollout(learner, state, config.obs_mode):
+            tally.step(state, events)
+        records.append(tally.record(state, env_seed, i))
     mean_gd = float(np.mean([r.goal_difference for r in records]))
     return mean_gd, records
 
@@ -242,114 +240,86 @@ def evaluate_checkpoint(ckpt_path: str, config: ExperimentConfig,
 
 def _write_eval_block(f, learner: VDNLearner, config: ExperimentConfig,
                       seed: int, global_step: int,
-                      difficulties: tuple[float, ...], final: bool) -> dict:
-    """Runs evaluation at the given difficulties and writes rows; returns
-    {difficulty: mean_gd}."""
+                      difficulties: tuple[float, ...], final: bool,
+                      epv_values: np.ndarray | None) -> None:
+    """Runs evaluation at the given difficulties and writes its rows."""
     eval_base = (seed ^ EVAL_SEED_XOR) & _MASK64
-    out = {}
     for diff in difficulties:
         mean_gd, records = evaluate(learner, config, diff,
-                                    config.eval_episodes, eval_base)
-        for rec in records:
-            f.write(_jsonl({
-                "kind": "eval_episode", "seed": seed, "step": global_step,
-                "difficulty": diff, "episode": rec.episode,
-                "env_seed": rec.seed, "steps": rec.steps,
-                "outcome": rec.outcome,
-                "goal_difference": rec.goal_difference,
-                "shaped_return": rec.shaped_return,
-                "sparse_return": rec.sparse_return,
-                "mean_epv": rec.mean_epv,
-            }))
+                                    config.eval_episodes, eval_base,
+                                    epv_values=epv_values)
+        for rec in records:   # rows name the training seed; rec.seed is env_seed
+            f.write(_jsonl({**vars(rec), "kind": "eval_episode", "seed": seed,
+                            "step": global_step, "difficulty": diff,
+                            "env_seed": rec.seed}))
         f.write(_jsonl({
             "kind": "eval", "seed": seed, "step": global_step,
             "difficulty": diff, "episodes": config.eval_episodes,
             "mean_goal_difference": mean_gd, "final": final,
         }))
-        out[diff] = mean_gd
-    return out
 
 
-def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> dict:
-    """Full training loop for one seed.  Returns the final evaluation
-    summary {difficulty: mean goal difference}."""
+def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> None:
+    """Full training loop for one seed, logging to seed_dir/metrics.jsonl."""
     os.makedirs(seed_dir, exist_ok=True)
     scenario = config.scenario
     train = config.train
     obs_dim = sim.observation_length(scenario)
     lcfg = train.learner_config(scenario.n_defenders, obs_dim, sim.N_ACTIONS)
     learner = VDNLearner(lcfg, seed)
-    shaper = reward_mod.RewardShaper(config.reward, train.gamma)
-    epv_values = _load_epv_values(config) if shaper.needs_value else None
-    probe = _ValueProbe(epv_values, config.pass_model, config.field_stride)
+    epv_values = _load_epv_values(config)
+    tally = EpisodeTally(config, train.gamma, epv_values)
     buffer = ReplayBuffer(train.buffer_capacity, scenario.n_defenders, obs_dim)
     action_rng = np.random.default_rng(
         np.random.SeedSequence([seed & _MASK64, 0xACCE55]))
 
     metrics_path = os.path.join(seed_dir, "metrics.jsonl")
-    final_summary: dict = {}
     with open(metrics_path, "w") as f:
         state = None
         episode_idx = -1
-        ep_steps = 0
-        ep_shaped = ep_sparse = ep_epv = 0.0
         agent_obs = None
         periodic = (scenario.difficulty,)
         for global_step in range(train.total_steps + 1):
             if state is not None and state.terminal:
-                f.write(_jsonl({
-                    "kind": "episode", "seed": seed, "step": global_step,
-                    "episode": episode_idx, "steps": ep_steps,
-                    "outcome": state.outcome.kind.value,
-                    "goal_difference": state.outcome.goal_difference,
-                    "shaped_return": ep_shaped, "sparse_return": ep_sparse,
-                    "mean_epv": (ep_epv / ep_steps if probe.active else None),
-                }))
+                rec = tally.record(state, env_seed, episode_idx)
+                f.write(_jsonl({**vars(rec), "kind": "episode", "seed": seed,
+                                "step": global_step}))
                 state = None
 
             at_eval = global_step % config.eval_every == 0
             is_final = global_step == train.total_steps
             if at_eval or is_final:
                 diffs = config.final_difficulties if is_final else periodic
-                summary = _write_eval_block(f, learner, config, seed,
-                                            global_step, diffs, is_final)
+                _write_eval_block(f, learner, config, seed, global_step,
+                                  diffs, is_final, epv_values)
                 tag = "final" if is_final else str(global_step)
                 learner.save(os.path.join(seed_dir, f"ckpt_{tag}.json"),
                              extra={"seed": seed, "global_step": global_step})
                 if is_final:
-                    final_summary = summary
                     break
 
             if state is None:
                 episode_idx += 1
-                state = sim.reset(scenario, episode_seed(seed, episode_idx))
-                shaper.episode_start(probe.start(state))
-                ep_steps = 0
-                ep_shaped = ep_sparse = ep_epv = 0.0
+                env_seed = episode_seed(seed, episode_idx)
+                state = sim.reset(scenario, env_seed)
+                tally.start(state)
                 agent_obs = per_agent_observations(
                     scenario, sim.observe(state), config.obs_mode).copy()
 
             epsilon = train.epsilon_at(global_step)
             actions = learner.select_actions(agent_obs, epsilon, action_rng)
             state, events = sim.step(state, actions)
-            value = probe.after_step(state)
-            sparse = reward_mod.sparse_reward(events)
-            shaped = shaper.step(sparse, value)
+            shaped = tally.step(state, events)
             next_agent_obs = per_agent_observations(
                 scenario, sim.observe(state), config.obs_mode).copy()
             buffer.add(agent_obs, actions, shaped, next_agent_obs, state.terminal)
             agent_obs = next_agent_obs
-            ep_steps += 1
-            ep_shaped += shaped
-            ep_sparse += sparse
-            ep_epv += value
 
             if len(buffer) >= train.learn_start \
                     and (global_step + 1) % train.update_every == 0:
                 learner.td_update(buffer.sample(train.batch_size, action_rng))
             if (global_step + 1) % train.target_sync_period == 0:
                 learner.sync_target()
-    return final_summary
 
 
 def run_training(config: ExperimentConfig, out_dir: str, *,

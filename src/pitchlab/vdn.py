@@ -6,6 +6,9 @@ chosen-action values, so the joint greedy action decomposes into per-agent
 argmaxes.  Training is one-step TD with a target network, mean-squared
 error, and plain SGD under a global gradient-norm clip.
 
+The agents' networks are stacked on a leading axis, one op per layer, with
+results bit-identical to a loop over per-agent networks.
+
 The smooth-at-zero rectifying nonlinearity keeps the loss twice
 differentiable everywhere, which finite-difference gradient checks rely on.
 """
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import ConfigError, config_from_dict, config_to_dict
+from .sim import (ConfigError, config_from_dict, config_to_dict,
+                  write_json_atomic)
 
 
 class ShapeMismatchError(ValueError):
@@ -119,25 +123,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QNetwork:
-    """Weights and biases of one agent's network, all float64."""
+    """Weights and biases of an MLP, all float64.  A stacked one has the
+    agents on a leading axis, weights[l] (A, in, out) and biases[l] (A, out);
+    indexing it gives agent a's network as views into the stack."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def layer_shapes(self) -> list[list[int]]:
-        return [list(w.shape) for w in self.weights]
+    @classmethod
+    def stack(cls, nets: list["QNetwork"]) -> "QNetwork":
+        return cls([np.stack(ws) for ws in zip(*(n.weights for n in nets))],
+                   [np.stack(bs) for bs in zip(*(n.biases for n in nets))])
+
+    def __getitem__(self, a: int) -> "QNetwork":
+        return QNetwork([w[a] for w in self.weights], [b[a] for b in self.biases])
 
     def copy(self) -> "QNetwork":
         return QNetwork([w.copy() for w in self.weights],
                          [b.copy() for b in self.biases])
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator) -> QNetwork:
@@ -159,49 +162,42 @@ def joint_q(per_agent_values) -> float:
     return total
 
 
-def mlp_forward(params: QNetwork, x: np.ndarray) -> np.ndarray:
-    """Q-values for a single observation (D,) or a batch (B, D)."""
+def mlp_forward(params: QNetwork, x: np.ndarray,
+                cache: list | None = None) -> np.ndarray:
+    """Q-values for a single observation (D,) or a batch (B, D); a stacked
+    network takes (A, B, D) and returns (A, B, n_actions).  A `cache` list
+    collects each layer's (input, pre-activation) pair for _backward."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
+    w0 = params.weights[0]
+    if x.ndim != w0.ndim or x.shape[-1] != w0.shape[-2]:
         raise ShapeMismatchError(
-            f"expected input width {params.weights[0].shape[0]}, got {x.shape}")
+            f"expected input width {w0.shape[-2]}, got {x.shape}")
     h = x
     last = len(params.weights) - 1
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w + b[..., None, :]
+        if cache is not None:
+            cache.append((h, z))
         h = z if li == last else softplus(z)
     return h[0] if single else h
 
 
-def _forward_cached(params: QNetwork, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass keeping pre-activations and inputs for backprop."""
-    cache = []
-    h = x
-    last = len(params.weights) - 1
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        cache.append((h, z))
-        h = z if li == last else softplus(z)
-    return h, cache
-
-
 def _backward(params: QNetwork, cache: list, dout: np.ndarray) -> QNetwork:
-    """Gradients of a scalar loss given d(loss)/d(output)."""
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
+    """Gradients of a scalar loss given d(loss)/d(output); plain or stacked."""
     last = len(params.weights) - 1
+    gw, gb = [None] * (last + 1), [None] * (last + 1)
     grad = dout
     for li in range(last, -1, -1):
         h_in, z = cache[li]
         if li != last:
             grad = grad * _sigmoid(z)
-        gw[li] = h_in.T @ grad
-        gb[li] = grad.sum(axis=0)
+        gw[li] = h_in.swapaxes(-1, -2) @ grad
+        gb[li] = grad.sum(axis=-2)
         if li > 0:
-            grad = grad @ params.weights[li].T
+            grad = grad @ params.weights[li].swapaxes(-1, -2)
     return QNetwork(gw, gb)
 
 
@@ -275,15 +271,24 @@ class ReplayBuffer:
 
 
 class VDNLearner:
-    """Per-agent networks (no parameter sharing) plus frozen target copies."""
+    """Stacked per-agent networks (no parameter sharing) and target copies."""
 
     def __init__(self, config: LearnerConfig, seed: int):
         self.config = config
         sizes = [config.obs_dim, *config.hidden, config.n_actions]
         rng = np.random.default_rng(int(seed))
-        self.agents = [init_mlp(sizes, rng) for _ in range(config.n_agents)]
-        self.targets = [p.copy() for p in self.agents]
+        self.online = QNetwork.stack(
+            [init_mlp(sizes, rng) for _ in range(config.n_agents)])
+        self.target = self.online.copy()
         self.train_step = 0
+
+    @property
+    def agents(self) -> list[QNetwork]:   # per-agent views of the stack
+        return [self.online[a] for a in range(self.config.n_agents)]
+
+    @property
+    def targets(self) -> list[QNetwork]:
+        return [self.target[a] for a in range(self.config.n_agents)]
 
     # -- acting ---------------------------------------------------------------
 
@@ -294,8 +299,7 @@ class VDNLearner:
             raise ShapeMismatchError(
                 f"expected obs shape {(self.config.n_agents, self.config.obs_dim)}, "
                 f"got {obs.shape}")
-        return np.stack([mlp_forward(p, obs[a])
-                         for a, p in enumerate(self.agents)])
+        return mlp_forward(self.online, obs[:, None, :])[:, 0, :]
 
     def chosen_joint_q(self, obs: np.ndarray, actions: np.ndarray) -> float:
         """Sum over agents of each agent's value for its chosen action."""
@@ -327,23 +331,21 @@ class VDNLearner:
     # -- learning ---------------------------------------------------------------
 
     def _td_errors(self, batch: TransitionBatch) -> tuple[np.ndarray, list]:
+        """TD errors (B,) and the online forward cache; agent sums run in
+        agent order, as a per-agent loop adds them."""
         cfg = self.config
-        B = batch.obs.shape[0]
         if batch.obs.shape[1:] != (cfg.n_agents, cfg.obs_dim):
             raise ShapeMismatchError(
                 f"batch obs shaped {batch.obs.shape}, expected "
                 f"(B, {cfg.n_agents}, {cfg.obs_dim})")
-        pred = np.zeros(B)
-        caches = []
-        for a, p in enumerate(self.agents):
-            q, cache = _forward_cached(p, batch.obs[:, a, :])
-            pred += q[np.arange(B), batch.actions[:, a]]
-            caches.append(cache)
-        next_max = np.zeros(B)
-        for a, tp in enumerate(self.targets):
-            next_max += mlp_forward(tp, batch.next_obs[:, a, :]).max(axis=1)
+        cache: list = []
+        q = mlp_forward(self.online, batch.obs.swapaxes(0, 1), cache)
+        chosen = np.take_along_axis(q, batch.actions.T[:, :, None], axis=2)
+        pred = chosen[:, :, 0].sum(axis=0)
+        next_q = mlp_forward(self.target, batch.next_obs.swapaxes(0, 1))
+        next_max = next_q.max(axis=2).sum(axis=0)
         y = batch.rewards + cfg.gamma * (1.0 - batch.terminals) * next_max
-        return pred - y, caches
+        return pred - y, cache
 
     def td_loss(self, batch: TransitionBatch | list[Transition]) -> float:
         """Mean squared TD error; pure, used by gradient checks."""
@@ -353,49 +355,43 @@ class VDNLearner:
         return float(np.mean(err ** 2))
 
     def td_grads(self, batch: TransitionBatch | list[Transition]
-                 ) -> tuple[float, list[QNetwork]]:
-        """Loss and per-agent parameter gradients, before clipping."""
+                 ) -> tuple[float, QNetwork]:
+        """Loss and the stacked gradients (index by agent), before clipping."""
         if isinstance(batch, list):
             batch = batch_from_transitions(batch)
         B = batch.obs.shape[0]
-        err, caches = self._td_errors(batch)
+        err, cache = self._td_errors(batch)
         loss = float(np.mean(err ** 2))
-        dpred = 2.0 * err / B
-        grads = []
-        for a, p in enumerate(self.agents):
-            dq = np.zeros((B, self.config.n_actions))
-            dq[np.arange(B), batch.actions[:, a]] = dpred
-            grads.append(_backward(p, caches[a], dq))
-        return loss, grads
+        dq = np.zeros((self.config.n_agents, B, self.config.n_actions))
+        np.put_along_axis(dq, batch.actions.T[:, :, None],
+                          (2.0 * err / B)[None, :, None], axis=2)
+        return loss, _backward(self.online, cache, dq)
 
     def td_update(self, batch: TransitionBatch | list[Transition]) -> float:
         """One SGD step under the global gradient-norm clip; returns the loss."""
         loss, grads = self.td_grads(batch)
-        sq = 0.0
-        for g in grads:
-            for arr in (*g.weights, *g.biases):
-                sq += float(np.sum(arr * arr))
-        norm = np.sqrt(sq)
+        # squares summed per agent and per array, agent by agent
+        norm = np.sqrt(sum([float(np.sum(g * g))
+                            for a in range(self.config.n_agents)
+                            for g in (*grads[a].weights, *grads[a].biases)]))
         scale = self.config.grad_clip / norm if norm > self.config.grad_clip else 1.0
         lr = self.config.lr
-        for p, g in zip(self.agents, grads):
-            for w, gw in zip(p.weights, g.weights):
-                w -= lr * scale * gw
-            for b, gb in zip(p.biases, g.biases):
-                b -= lr * scale * gb
+        for p, g in zip((*self.online.weights, *self.online.biases),
+                        (*grads.weights, *grads.biases)):
+            p -= lr * scale * g
         self.train_step += 1
         return loss
 
     def sync_target(self) -> None:
-        self.targets = [p.copy() for p in self.agents]
+        self.target = self.online.copy()
 
     # -- checkpoints --------------------------------------------------------------
 
     def save(self, path: str, extra: dict | None = None) -> None:
-        """JSON checkpoint; floats round-trip exactly through repr."""
+        """Atomic JSON checkpoint; floats round-trip exactly through repr."""
         def dump_params(params: QNetwork) -> dict:
             return {
-                "layer_shapes": params.layer_shapes,
+                "layer_shapes": [list(w.shape) for w in params.weights],
                 "weights": [w.ravel().tolist() for w in params.weights],
                 "biases": [b.tolist() for b in params.biases],
             }
@@ -408,8 +404,7 @@ class VDNLearner:
         }
         if extra:
             doc["extra"] = extra
-        with open(path, "w") as f:
-            json.dump(doc, f)
+        write_json_atomic(path, doc)
 
     @classmethod
     def load(cls, path: str) -> "VDNLearner":
@@ -460,12 +455,12 @@ class VDNLearner:
             return QNetwork(ws, bs)
 
         learner = cls(config, seed=0)
-        for key in ("agents", "targets"):
+        for key, attr in (("agents", "online"), ("targets", "target")):
             nets = doc[key]
             if not isinstance(nets, list) or len(nets) != config.n_agents:
                 raise CheckpointFormatError(
                     f"{path}: {key}: expected {config.n_agents} networks")
-            setattr(learner, key, [load_params(d, f"{key}[{a}]")
-                                   for a, d in enumerate(nets)])
+            setattr(learner, attr, QNetwork.stack(
+                [load_params(d, f"{key}[{a}]") for a, d in enumerate(nets)]))
         learner.train_step = step
         return learner

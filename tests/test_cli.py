@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
-from pitchlab import epv, pitch_control as pc, sim, trainer
+from pitchlab import cli, epv, pitch_control as pc, sim, trainer
 from pitchlab.cli import main
 from pitchlab.reward import ShapingConfig, ShapingMode
 from pitchlab.sim import ScenarioConfig
 from pitchlab.trainer import ExperimentConfig
-from pitchlab.vdn import TrainConfig
+from pitchlab.vdn import TrainConfig, VDNLearner
 
 
 def micro_config_dict(weight=0.1, seeds=(1,)):
@@ -282,6 +282,112 @@ def test_render_from_checkpoint_plays_forward(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert out.read_bytes().startswith(b"P6\n")
+
+
+def test_replay_and_render_follow_the_evaluation_rollout(tmp_path, capsys):
+    cfg_path, run_dir = micro_run(tmp_path)
+    ckpt = os.path.join(run_dir, "seed-1", "ckpt_final.json")
+    config = cli.load_experiment(cfg_path)
+    _, records = trainer.evaluate(VDNLearner.load(ckpt), config,
+                                  config.scenario.difficulty, 3, seed=5)
+    capsys.readouterr()
+    for rec in records:
+        out = tmp_path / f"episode-{rec.episode}.jsonl"
+        rc = main(["replay", "--checkpoint", ckpt, "--config", cfg_path,
+                   "--seed", str(rec.seed), "--out", str(out)])
+        assert rc == 0
+        assert f"{rec.steps} steps, outcome {rec.outcome}" in capsys.readouterr().out
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["step"] for r in rows] == list(range(1, rec.steps + 1))
+        for k in sorted({0, 1, rec.steps // 2, rec.steps, rec.steps + 3}):
+            args = cli.build_parser().parse_args(
+                ["render-field", "--checkpoint", ckpt, "--config", cfg_path,
+                 "--seed", str(rec.seed), "--at-step", str(k),
+                 "--out", str(tmp_path / "x.ppm")])
+            snap = sim.snapshot(cli._state_for_render(args))
+            if k == 0:
+                assert snap["step"] == 0
+                continue
+            row = dict(rows[min(k, rec.steps) - 1])
+            del row["actions"], row["events"]
+            assert snap == row
+
+
+# -- state files -------------------------------------------------------------------------
+
+def _state_doc(tmp_path):
+    st = sim.reset(ScenarioConfig(n_defenders=2, n_attackers=3), 4)
+    path = tmp_path / "state.json"
+    sim.save_state(st, str(path))
+    return path, json.loads(path.read_text())
+
+
+def _drop_row(key):
+    def mutate(doc):
+        doc[key] = doc[key][:-1]
+    return mutate
+
+
+def _del(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _terminal_with(outcome):
+    def mutate(doc):
+        doc["terminal"] = True
+        doc["outcome"] = outcome
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_drop_row("positions"), "positions"),
+    (_set("velocities", value=[[0.0, 0.0]] * 6 + [[0.0]]), "velocities"),
+    (_set("ball_pos", value=[1.0, 2.0, 3.0]), "ball_pos"),
+    (_set("ball_vel", value=[float("nan"), 0.0]), "ball_vel"),
+    (_set("positions", 0, value=["a", 1.0]), "positions"),
+    (_set("carrier", value=99), "carrier"),
+    (_set("carrier", value="3"), "carrier"),
+    (_set("kick_shield", value=-1), "kick_shield"),
+    (_set("kick_shield", value=True), "kick_shield"),
+    (_set("step_index", value=-1), "step_index"),
+    (_set("step_index", value=10**6), "step_index"),
+    (_set("step_index", value=2.0), "step_index"),
+    (_set("score_events", value="none"), "score_events"),
+    (_set("terminal", value="no"), "terminal"),
+    (_terminal_with(None), "outcome"),
+    (_terminal_with({"kind": "own_goal", "goal_difference": 0}), "outcome"),
+    (_terminal_with({"kind": "goal_conceded", "goal_difference": 0}), "outcome"),
+    (_set("outcome", value={"kind": "turnover", "goal_difference": 0}), "outcome"),
+    (_set("rng_state", "bit_generator", value="MT19937"), "rng_state"),
+    (_set("rng_state", "state", "inc", value=-1), "rng_state"),
+    (_set("rng_state", value=[1, 2]), "rng_state"),
+    (_set("scenario", "n_defenders", value="2"), "scenario.n_defenders"),
+    (_del("velocities"), "velocities"),
+    (_set("ghost", value=1), "ghost"),
+])
+def test_malformed_state_file_exits_2_and_names_field(tmp_path, capsys,
+                                                      mutate, field):
+    path, doc = _state_doc(tmp_path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    rc = main(["render-field", "--what", "control", "--state", str(path),
+               "--out", str(tmp_path / "x.ppm")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"{field}:" in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_state_file_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("{ not json")
+    rc = main(["render-field", "--state", str(path),
+               "--out", str(tmp_path / "x.ppm")])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
 
 
 # -- console entry point -------------------------------------------------------------

@@ -488,6 +488,65 @@ def test_load_rejects_wrong_version(tmp_path):
         sim.load_state(str(path))
 
 
+def test_terminal_state_roundtrips(tmp_path):
+    st, _ = run_episode(small_scenario(), 5, lambda s: [PRESS, PRESS])
+    path = tmp_path / "state.json"
+    sim.save_state(st, str(path))
+    loaded = sim.load_state(str(path))
+    assert loaded.terminal and loaded.outcome == st.outcome
+    assert sim.state_digest(loaded) == sim.state_digest(st)
+
+
+def _write_state(path):
+    sim.save_state(sim.reset(small_scenario(), 0), path)
+
+
+def _write_grid(path):
+    from pitchlab import epv
+    pitch = PitchSpec(grid_m=4, grid_n=3)
+    epv.save_epv_grid(path, epv.solve_epv(epv.default_chain(pitch)), pitch)
+
+
+def _write_checkpoint(path):
+    from pitchlab.vdn import LearnerConfig, VDNLearner
+    VDNLearner(LearnerConfig(n_agents=2, obs_dim=3, n_actions=2,
+                             hidden=(4,)), seed=0).save(path)
+
+
+@pytest.mark.parametrize("write", [_write_state, _write_grid,
+                                   _write_checkpoint])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
+    import json
+    import os
+    path = tmp_path / "artifact.json"
+    write(str(path))
+    before = path.read_bytes()
+
+    def dump_half(doc, f, **kw):
+        f.write('{"version": 1, "positions": [[0.0')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError):
+        write(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact.json"]
+
+
+def test_checkpoint_that_fails_to_serialize_keeps_the_previous_file(tmp_path):
+    import os
+    from pitchlab.vdn import LearnerConfig, VDNLearner
+    learner = VDNLearner(LearnerConfig(n_agents=1, obs_dim=2, n_actions=2,
+                                       hidden=(3,)), seed=0)
+    path = tmp_path / "ckpt.json"
+    learner.save(str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        learner.save(str(path), extra={"unserializable": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ckpt.json"]
+
+
 def test_snapshot_fields():
     st = sim.reset(small_scenario(), 0)
     snap = sim.snapshot(st)

@@ -246,18 +246,22 @@ def test_inactive_probe_reports_no_epv():
 def test_value_probe_holds_between_strides():
     cfg = tiny_config(field_stride=4)
     values = trainer._load_epv_values(cfg)
-    probe = trainer._ValueProbe(values, cfg.pass_model, stride=4)
+    tally = trainer.EpisodeTally(cfg, cfg.train.gamma, values)
     st = sim.reset(cfg.scenario, 0)
-    v0 = probe.start(st)
+    tally.start(st)
+    v0 = tally.value
     held = []
     for _ in range(8):
-        st, _ = sim.step(st, [0])
-        held.append(probe.after_step(st))
+        st, events = sim.step(st, [0])
+        tally.step(st, events)
+        held.append(tally.value)
     # three holds then a recompute, twice over
     assert held[0] == held[1] == held[2] == v0
     assert held[3] != v0
     assert held[4] == held[5] == held[6] == held[3]
     assert held[7] != held[3]
+    assert tally.steps == 8
+    assert tally.epv_sum == sum(held)
 
 
 # -- training loop -------------------------------------------------------------------------
@@ -326,6 +330,17 @@ def test_weight_zero_run_never_solves_the_epv_grid(tmp_path, monkeypatch):
     run_training(tiny_config(total_steps=100, eval_every=50, weight=0.0),
                  str(tmp_path))
     assert calls == []
+
+
+def test_shaped_seed_solves_the_epv_grid_once(tmp_path, monkeypatch):
+    calls = []
+    solve = epv.solve_epv
+    monkeypatch.setattr(epv, "solve_epv",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    cfg = tiny_config(total_steps=100, eval_every=50, seeds=(1, 2),
+                      eval_difficulties=(0.95, 0.6, 0.05))
+    run_training(cfg, str(tmp_path))
+    assert len(calls) == 2
 
 
 def test_failed_seed_writes_error_row(tmp_path, monkeypatch):

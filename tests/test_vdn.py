@@ -263,6 +263,114 @@ def test_train_step_counter_advances():
     assert learner.train_step == 2
 
 
+# -- stacked networks against a per-agent reference -------------------------------
+
+class PerAgentReference:
+    """The learner written as a loop over agents, one init_mlp network
+    each, drawn from the generator in the same order as VDNLearner."""
+
+    def __init__(self, cfg, seed):
+        sizes = [cfg.obs_dim, *cfg.hidden, cfg.n_actions]
+        rng = np.random.default_rng(seed)
+        self.cfg = cfg
+        self.agents = [init_mlp(sizes, rng) for _ in range(cfg.n_agents)]
+        self.targets = [p.copy() for p in self.agents]
+
+    def q_values(self, obs):
+        return np.stack([mlp_forward(p, obs[a])
+                         for a, p in enumerate(self.agents)])
+
+    @staticmethod
+    def backward(net, cache, dout):
+        last = len(net.weights) - 1
+        gw, gb = [None] * (last + 1), [None] * (last + 1)
+        grad = dout
+        for li in range(last, -1, -1):
+            h_in, z = cache[li]
+            if li != last:
+                grad = grad * vdn._sigmoid(z)
+            gw[li] = h_in.T @ grad
+            gb[li] = grad.sum(axis=0)
+            if li > 0:
+                grad = grad @ net.weights[li].T
+        return QNetwork(gw, gb)
+
+    def td_grads(self, batch):
+        B = batch.obs.shape[0]
+        pred, next_max, caches = np.zeros(B), np.zeros(B), []
+        for a, p in enumerate(self.agents):
+            cache = []
+            q = mlp_forward(p, batch.obs[:, a, :], cache)
+            pred += q[np.arange(B), batch.actions[:, a]]
+            caches.append(cache)
+        for a, p in enumerate(self.targets):
+            next_max += mlp_forward(p, batch.next_obs[:, a, :]).max(axis=1)
+        y = batch.rewards + self.cfg.gamma * (1.0 - batch.terminals) * next_max
+        err = pred - y
+        grads = []
+        for a, p in enumerate(self.agents):
+            dq = np.zeros((B, self.cfg.n_actions))
+            dq[np.arange(B), batch.actions[:, a]] = 2.0 * err / B
+            grads.append(self.backward(p, caches[a], dq))
+        return float(np.mean(err ** 2)), grads
+
+    def td_update(self, batch):
+        loss, grads = self.td_grads(batch)
+        sq = 0.0
+        for g in grads:
+            for arr in (*g.weights, *g.biases):
+                sq += float(np.sum(arr * arr))
+        norm = np.sqrt(sq)
+        scale = self.cfg.grad_clip / norm if norm > self.cfg.grad_clip else 1.0
+        for p, g in zip(self.agents, grads):
+            for w, gw in zip(p.weights, g.weights):
+                w -= self.cfg.lr * scale * gw
+            for b, gb in zip(p.biases, g.biases):
+                b -= self.cfg.lr * scale * gb
+        return loss, norm
+
+    def sync_target(self):
+        self.targets = [p.copy() for p in self.agents]
+
+
+def assert_nets_identical(nets_a, nets_b):
+    assert len(nets_a) == len(nets_b)
+    for na, nb in zip(nets_a, nets_b):
+        for wa, wb in zip((*na.weights, *na.biases), (*nb.weights, *nb.biases)):
+            assert wa.shape == wb.shape
+            assert np.array_equal(wa, wb)
+
+
+def test_stacked_learner_is_bit_identical_to_per_agent_loop():
+    cfg = LearnerConfig(n_agents=3, obs_dim=5, n_actions=4, hidden=(6, 4),
+                        lr=0.05, grad_clip=0.05)
+    learner, ref = VDNLearner(cfg, seed=11), PerAgentReference(cfg, seed=11)
+    assert_nets_identical(learner.agents, ref.agents)
+    rng = np.random.default_rng(12)
+    shared = np.broadcast_to(rng.normal(size=cfg.obs_dim),
+                             (cfg.n_agents, cfg.obs_dim))
+    clipped = 0
+    for step in range(6):
+        obs = rng.normal(size=(cfg.n_agents, cfg.obs_dim))
+        for o in (obs, shared):
+            assert np.array_equal(learner.q_values(o), ref.q_values(o))
+        batch = random_batch(cfg, rng, size=8, terminal_frac=0.3)
+        loss, grads = learner.td_grads(batch)
+        ref_loss, ref_grads = ref.td_grads(batch)
+        assert loss == ref_loss == learner.td_loss(batch)
+        assert_nets_identical([grads[a] for a in range(cfg.n_agents)],
+                              ref_grads)
+        ref_loss, norm = ref.td_update(batch)
+        assert learner.td_update(batch) == ref_loss
+        clipped += norm > cfg.grad_clip
+        assert_nets_identical(learner.agents, ref.agents)
+        if step == 2:
+            learner.sync_target()
+            ref.sync_target()
+        assert_nets_identical(learner.targets, ref.targets)
+    assert clipped
+
+
 # -- action selection ------------------------------------------------------------
 
 def test_greedy_ties_break_to_lowest_index():
@@ -548,3 +656,26 @@ def test_checkpoint_rejects_agent_count_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointFormatError):
         VDNLearner.load(str(path))
+
+
+def test_agent_views_write_through_to_the_stack():
+    cfg = tiny_config(n_agents=2, obs_dim=3, n_actions=2)
+    learner = VDNLearner(cfg, seed=0)
+    assert learner.online.weights[0].shape == (2, 3, 5)
+    assert learner.online.biases[-1].shape == (2, 2)
+    zero_params(learner)
+    learner.agents[1].biases[-1][:] = [0.5, 2.0]
+    q = learner.q_values(np.zeros((2, 3)))
+    assert np.array_equal(q, [[0.0, 0.0], [0.5, 2.0]])
+    assert [w.shape for w in learner.online[1].weights] == [(3, 5), (5, 2)]
+
+
+def test_mlp_forward_cache_holds_layer_inputs():
+    net = init_mlp([4, 6, 3], np.random.default_rng(2))
+    x = np.random.default_rng(3).normal(size=(5, 4))
+    cache = []
+    out = mlp_forward(net, x, cache)
+    assert np.array_equal(out, mlp_forward(net, x))
+    assert [h.shape for h, _ in cache] == [(5, 4), (5, 6)]
+    assert np.array_equal(cache[1][0], vdn.softplus(cache[0][1]))
+    assert np.array_equal(cache[-1][1], out)
