@@ -27,7 +27,7 @@ from .sim import (ConfigError, PitchSpec, ScenarioConfig, config_from_dict,
 from .vdn import CheckpointFormatError, ShapeMismatchError, VDNLearner
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
-                  yaml.YAMLError, KeyError)
+                  yaml.YAMLError)
 _RUNTIME_ERRORS = (pc.InsufficientDataError, pc.NonConvergenceError,
                    epv_mod.NonStochasticChainError, epv_mod.FormatError,
                    epv_mod.ValueIterationError, epv_mod.DimensionMismatchError,
@@ -126,8 +126,8 @@ def _state_for_render(args) -> sim.GameState:
     config = load_experiment(args.config)
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(config.scenario, args.seed)
-    rollout = trainer_mod.greedy_rollout(learner, state, config.obs_mode)
-    for _ in itertools.islice(rollout, max(args.at_step, 0)):
+    steps = trainer_mod.rollout(state, learner.greedy_actions, config.obs_mode)
+    for _ in itertools.islice(steps, max(args.at_step, 0)):
         pass
     return state
 
@@ -173,8 +173,8 @@ def _cmd_replay(args) -> int:
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(scenario, args.seed)
     with open(args.out, "w") as f:
-        for actions, events in trainer_mod.greedy_rollout(learner, state,
-                                                          config.obs_mode):
+        for _, actions, events, _ in trainer_mod.rollout(
+                state, learner.greedy_actions, config.obs_mode):
             row = sim.snapshot(state)
             row["actions"] = [int(a) for a in actions]
             row["events"] = {k: getattr(events, k) for k in (

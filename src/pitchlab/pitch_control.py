@@ -121,7 +121,7 @@ def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
     theta = np.array([math.log(params.sigma), params.lam])
 
     def unpack(t: np.ndarray) -> PassModelParams:
-        return PassModelParams(sigma=math.exp(min(t[0], 30.0)), lam=t[1])
+        return PassModelParams(sigma=math.exp(min(t[0], 30.0)), lam=float(t[1]))
 
     ll = log_likelihood(params, x, k)
     step = 1.0
@@ -157,15 +157,30 @@ def sample_pass_events(params: PassModelParams, n: int,
 
 
 def load_pass_events(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read pass events from a CSV file with header `x,k`."""
+    """Read pass events from a CSV file with header `x,k`.  A row that is
+    not two finite numbers raises a ConfigError naming the file, the line
+    and the column."""
     xs, ks = [], []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["x", "k"]:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["x", "k"]:
             raise ConfigError(f"{path}: expected CSV header 'x,k'")
         for row in reader:
-            xs.append(float(row["x"]))
-            ks.append(float(row["k"]))
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) > 2:
+                raise ConfigError(f"{where}: expected 2 columns, got {len(row)}")
+            for column, text, out in zip("xk", row + [""], (xs, ks)):
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}, column {column}: expected a "
+                                      f"finite number, got {text!r}")
+                out.append(value)
     return np.array(xs), np.array(ks)
 
 

@@ -5,6 +5,10 @@ dense shaping term derived from the attacking side's expected possession
 value is layered on top, either subtracted directly each step (additive
 mode) or applied as a potential-based difference, which provably leaves
 the optimal policy unchanged.
+
+Every function here is pure.  The per-episode state the shaped reward
+needs (the values of the previous and the current state) is kept by
+`trainer.EpisodeTally`, which calls `shaped_reward` once per step.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ class ShapingConfig:
 
     weight 0 turns shaping off; the shaped stream is then bit-identical to
     the sparse one.  In potential-based mode `gamma` must match the
-    training discount or the policy-invariance argument breaks down, so a
-    mismatch is rejected up front.
+    training discount or the policy-invariance argument breaks down;
+    `trainer.ExperimentConfig` rejects a mismatch when the config loads.
     """
 
     mode: ShapingMode = ShapingMode.ADDITIVE
@@ -59,41 +63,14 @@ def potential_shaped(sparse: float, value_prev: float, value_curr: float,
     return sparse + weight * (gamma * (-value_curr) - (-value_prev))
 
 
-class RewardShaper:
-    """Stateful per-episode shaping wrapper.
-
-    Call episode_start() with the value of the reset state, then step()
-    once per transition with the sparse reward and the value of the state
-    the transition landed in.
-    """
-
-    def __init__(self, config: ShapingConfig, train_gamma: float):
-        if config.mode is ShapingMode.POTENTIAL_BASED \
-                and config.gamma != train_gamma:
-            raise ConfigError(
-                f"potential-based shaping needs gamma == training gamma "
-                f"({config.gamma} != {train_gamma})")
-        self.config = config
-        self._prev_value: float | None = None
-
-    @property
-    def needs_value(self) -> bool:
-        """Whether the caller must supply state values at all (weight 0
-        runs skip the control-field and grid work entirely)."""
-        return self.config.weight != 0.0
-
-    def episode_start(self, value0: float = 0.0) -> None:
-        self._prev_value = value0
-
-    def step(self, sparse: float, value_curr: float = 0.0) -> float:
-        cfg = self.config
-        if cfg.weight == 0.0:
-            return sparse
-        if cfg.mode is ShapingMode.ADDITIVE:
-            return additive_shaped(sparse, value_curr, cfg.weight)
-        if self._prev_value is None:
-            raise RuntimeError("episode_start() must run before step()")
-        out = potential_shaped(sparse, self._prev_value, value_curr,
-                               cfg.weight, cfg.gamma)
-        self._prev_value = value_curr
-        return out
+def shaped_reward(config: ShapingConfig, sparse: float, value_prev: float,
+                  value_curr: float) -> float:
+    """The reward of one transition from a state valued `value_prev` to one
+    valued `value_curr`: the sparse reward itself at weight 0, else the
+    configured mode's shaped form."""
+    if config.weight == 0.0:
+        return sparse
+    if config.mode is ShapingMode.ADDITIVE:
+        return additive_shaped(sparse, value_curr, config.weight)
+    return potential_shaped(sparse, value_prev, value_curr, config.weight,
+                            config.gamma)

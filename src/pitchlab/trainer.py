@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +66,11 @@ class ExperimentConfig:
         for d in self.eval_difficulties:
             if not 0.0 <= d <= 1.0:
                 raise ConfigError("eval difficulties must lie in [0, 1]")
+        if self.reward.mode is reward_mod.ShapingMode.POTENTIAL_BASED \
+                and self.reward.gamma != self.train.gamma:
+            raise ConfigError(
+                f"reward.gamma: potential-based shaping needs reward.gamma == "
+                f"train.gamma ({self.reward.gamma} != {self.train.gamma})")
 
     @property
     def final_difficulties(self) -> tuple[float, ...]:
@@ -119,23 +125,19 @@ def _jsonl(doc: dict) -> str:
 
 def per_agent_observations(scenario: ScenarioConfig, obs: np.ndarray,
                            mode: str) -> np.ndarray:
-    """(n_defenders, obs_dim) views of the flat observation.
+    """(n_defenders, obs_dim) copies of the flat observation.
 
     In global mode every agent sees the same vector.  In egocentric mode
     agent a's copy swaps its own player block (and carrier one-hot slot)
     with block 0, so "slot 0" always means "me".
     """
-    n_def = scenario.n_defenders
+    out = np.tile(obs, (scenario.n_defenders, 1))
     if mode == "global":
-        return np.broadcast_to(obs, (n_def, obs.shape[0]))
-    P = scenario.n_players
-    out = np.tile(obs, (n_def, 1))
-    base = P * 4
-    for a in range(1, n_def):
-        blk_a = slice(a * 4, a * 4 + 4)
-        blk_0 = slice(0, 4)
-        out[a, blk_0], out[a, blk_a] = obs[blk_a].copy(), obs[blk_0].copy()
-        oh = base + 4
+        return out
+    oh = scenario.n_players * 4 + 4   # the carrier one-hot's first slot
+    for a in range(1, scenario.n_defenders):
+        mine = slice(4 * a, 4 * a + 4)
+        out[a, :4], out[a, mine] = obs[mine], obs[:4]
         out[a, oh], out[a, oh + a] = obs[oh + a], obs[oh]
     return out
 
@@ -155,9 +157,8 @@ class EpisodeTally:
     EPV every `field_stride` steps, held in between (0 without a grid), the
     shaped reward, and the running sums an EpisodeRecord reports."""
 
-    def __init__(self, config: ExperimentConfig, gamma: float,
+    def __init__(self, config: ExperimentConfig,
                  epv_values: np.ndarray | None):
-        self.shaper = reward_mod.RewardShaper(config.reward, gamma)
         self.config = config
         self.epv_values = epv_values
 
@@ -169,16 +170,17 @@ class EpisodeTally:
         self.steps = 0
         self.shaped = self.sparse = self.epv_sum = 0.0
         self.value = 0.0 if self.epv_values is None else self._state_value(state)
-        self.shaper.episode_start(self.value)
 
     def step(self, state: GameState, events: sim.StepEvents) -> float:
         """Books the step that landed in `state`; returns its shaped reward."""
         self.steps += 1
+        prev = self.value
         if self.epv_values is not None \
                 and self.steps % self.config.field_stride == 0:
             self.value = self._state_value(state)
         sparse = reward_mod.sparse_reward(events)
-        shaped = self.shaper.step(sparse, self.value)
+        shaped = reward_mod.shaped_reward(self.config.reward, sparse, prev,
+                                          self.value)
         self.shaped += shaped
         self.sparse += sparse
         self.epv_sum += self.value
@@ -196,14 +198,18 @@ class EpisodeTally:
         )
 
 
-def greedy_rollout(learner: VDNLearner, state: GameState, obs_mode: str):
-    """Plays `state` greedily to its end, advancing it in place, and yields
-    (actions, events) after each step."""
+def rollout(state: GameState, act, obs_mode: str):
+    """Plays `state` to its end, advancing it in place.  Each step hands the
+    per-agent observations to `act` for the actions, steps the simulator and
+    yields (obs, actions, events, next_obs)."""
+    obs = per_agent_observations(state.scenario, sim.observe(state), obs_mode)
     while not state.terminal:
-        obs = per_agent_observations(state.scenario, sim.observe(state), obs_mode)
-        actions = learner.greedy_actions(obs)
+        actions = act(obs)
         _, events = sim.step(state, actions)
-        yield actions, events
+        next_obs = per_agent_observations(state.scenario, sim.observe(state),
+                                          obs_mode)
+        yield obs, actions, events, next_obs
+        obs = next_obs
 
 
 def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
@@ -217,14 +223,15 @@ def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
         raise ConfigError("n_episodes must be >= 1")
     if epv_values is None:
         epv_values = _load_epv_values(config)
-    tally = EpisodeTally(config, learner.config.gamma, epv_values)
+    tally = EpisodeTally(config, epv_values)
     scenario = replace(config.scenario, difficulty=difficulty)
     records = []
     for i in range(n_episodes):
         env_seed = episode_seed(seed, i)
         state = sim.reset(scenario, env_seed)
         tally.start(state)
-        for _, events in greedy_rollout(learner, state, config.obs_mode):
+        for _, _, events, _ in rollout(state, learner.greedy_actions,
+                                       config.obs_mode):
             tally.step(state, events)
         records.append(tally.record(state, env_seed, i))
     mean_gd = float(np.mean([r.goal_difference for r in records]))
@@ -268,24 +275,21 @@ def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> None:
     lcfg = train.learner_config(scenario.n_defenders, obs_dim, sim.N_ACTIONS)
     learner = VDNLearner(lcfg, seed)
     epv_values = _load_epv_values(config)
-    tally = EpisodeTally(config, train.gamma, epv_values)
+    tally = EpisodeTally(config, epv_values)
     buffer = ReplayBuffer(train.buffer_capacity, scenario.n_defenders, obs_dim)
     action_rng = np.random.default_rng(
         np.random.SeedSequence([seed & _MASK64, 0xACCE55]))
 
+    def act(obs: np.ndarray) -> np.ndarray:   # epsilon of the step in hand
+        return learner.select_actions(obs, train.epsilon_at(global_step),
+                                      action_rng)
+
     metrics_path = os.path.join(seed_dir, "metrics.jsonl")
     with open(metrics_path, "w") as f:
-        state = None
         episode_idx = -1
-        agent_obs = None
+        transitions = iter(())   # the suspended rollout of the running episode
         periodic = (scenario.difficulty,)
         for global_step in range(train.total_steps + 1):
-            if state is not None and state.terminal:
-                rec = tally.record(state, env_seed, episode_idx)
-                f.write(_jsonl({**vars(rec), "kind": "episode", "seed": seed,
-                                "step": global_step}))
-                state = None
-
             at_eval = global_step % config.eval_every == 0
             is_final = global_step == train.total_steps
             if at_eval or is_final:
@@ -298,22 +302,21 @@ def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> None:
                 if is_final:
                     break
 
-            if state is None:
+            transition = next(transitions, None)
+            if transition is None:   # that episode has ended: start the next
                 episode_idx += 1
                 env_seed = episode_seed(seed, episode_idx)
                 state = sim.reset(scenario, env_seed)
                 tally.start(state)
-                agent_obs = per_agent_observations(
-                    scenario, sim.observe(state), config.obs_mode).copy()
-
-            epsilon = train.epsilon_at(global_step)
-            actions = learner.select_actions(agent_obs, epsilon, action_rng)
-            state, events = sim.step(state, actions)
+                transitions = rollout(state, act, config.obs_mode)
+                transition = next(transitions)
+            obs, actions, events, next_obs = transition
             shaped = tally.step(state, events)
-            next_agent_obs = per_agent_observations(
-                scenario, sim.observe(state), config.obs_mode).copy()
-            buffer.add(agent_obs, actions, shaped, next_agent_obs, state.terminal)
-            agent_obs = next_agent_obs
+            buffer.add(obs, actions, shaped, next_obs, state.terminal)
+            if state.terminal:
+                rec = tally.record(state, env_seed, episode_idx)
+                f.write(_jsonl({**vars(rec), "kind": "episode", "seed": seed,
+                                "step": global_step + 1}))
 
             if len(buffer) >= train.learn_start \
                     and (global_step + 1) % train.update_every == 0:
@@ -353,14 +356,25 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     return run_dir
 
 
-def load_metrics(path: str) -> list[dict]:
-    rows = []
+def _numbered_rows(path: str):
+    """Yields (line number, row) for each non-blank line of a JSONL log; a
+    line that is not a JSON object raises a ConfigError naming it."""
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: line {lineno}: not JSON "
+                                  f"({e.msg})") from None
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}: line {lineno}: expected an object")
+            yield lineno, row
+
+
+def load_metrics(path: str) -> list[dict]:
+    return [row for _, row in _numbered_rows(path)]
 
 
 def learning_curve(metrics_paths: list[str],
@@ -370,13 +384,25 @@ def learning_curve(metrics_paths: list[str],
     Reads `kind == "eval"` summary rows from each seed's metrics file,
     groups them by training step (optionally filtered to one difficulty),
     and reduces across seeds with linearly interpolated percentiles.
-    Returns rows (step, median, q25, q75) sorted by step.
+    Returns rows (step, median, q25, q75) sorted by step.  An eval row
+    whose step, difficulty or mean goal difference is not a finite number
+    raises a ConfigError naming the file, the line and the field.
     """
     by_step: dict[int, list[float]] = {}
     for path in metrics_paths:
-        for row in load_metrics(path):
+        for lineno, row in _numbered_rows(path):
             if row.get("kind") != "eval":
                 continue
+            for key in ("step", "difficulty", "mean_goal_difference"):
+                value = row.get(key)
+                try:   # a TypeError for a non-number, OverflowError past float
+                    finite = type(value) is not bool and math.isfinite(value)
+                except (TypeError, OverflowError):
+                    finite = False
+                if not finite:
+                    got = repr(value) if key in row else "nothing"
+                    raise ConfigError(f"{path}: line {lineno}: {key}: "
+                                      f"expected a finite number, got {got}")
             if difficulty is not None and row["difficulty"] != difficulty:
                 continue
             by_step.setdefault(row["step"], []).append(

@@ -97,6 +97,8 @@ def _set(*keys, value):
     (_set("train", "total_steps", value=1000.5), "train.total_steps"),
     (_set("scenario", "difficulty", value=True), "scenario.difficulty"),
     (_set("seeds", value=[1, 1]), "seeds"),
+    (_set("reward", value={"mode": "potential_based", "gamma": 0.9}),
+     "reward.gamma"),
 ])
 def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path):
     doc = micro_config_dict()
@@ -129,11 +131,33 @@ def test_fit_pass_model_recovers_parameters(tmp_path, capsys):
     out = tmp_path / "params.json"
     rc = main(["fit-pass-model", "--events", str(events), "--out", str(out)])
     assert rc == 0
-    assert "sigma=" in capsys.readouterr().out
+    printed = capsys.readouterr().out
     fitted = sim.config_from_dict(pc.PassModelParams,
                                   json.loads(out.read_text()), "pass_model")
     assert abs(fitted.sigma - 0.45) < 0.45 * 0.15
     assert abs(fitted.lam - 0.2) < 0.1
+    # plain floats, printed as such
+    assert f"sigma={fitted.sigma!r} lambda={fitted.lam!r}" in printed
+    params = pc.fit_pass_model(x, k)
+    assert type(params.sigma) is float and type(params.lam) is float
+
+
+@pytest.mark.parametrize("row, where", [
+    ("1.0", "line 3, column k"),
+    ("abc,1", "line 3, column x"),
+    ("nan,1", "line 3, column x"),
+    ("0.5,inf", "line 3, column k"),
+    ("0.5,1,2", "line 3"),
+])
+def test_malformed_pass_events_exit_2_and_name_line_and_column(
+        tmp_path, capsys, row, where):
+    events = tmp_path / "events.csv"
+    events.write_text(f"x,k\n0.3,1\n{row}\n-0.2,0\n")
+    out = tmp_path / "params.json"
+    rc = main(["fit-pass-model", "--events", str(events), "--out", str(out)])
+    assert rc == 2
+    assert f"{events}: {where}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- solve-epv --------------------------------------------------------------------
@@ -222,6 +246,34 @@ def test_curve_csv_from_run(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "step,median,q25,q75"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 30, 60]
+
+
+_EVAL_ROW = {"kind": "eval", "seed": 1, "step": 0, "difficulty": 0.95,
+             "episodes": 2, "mean_goal_difference": -0.5, "final": False}
+
+
+@pytest.mark.parametrize("line, field", [
+    ("{ not json", None),
+    ("[1, 2]", None),
+    (json.dumps({**_EVAL_ROW, "mean_goal_difference": "-0.5"}),
+     "mean_goal_difference"),
+    (json.dumps({k: v for k, v in _EVAL_ROW.items()
+                 if k != "mean_goal_difference"}), "mean_goal_difference"),
+    (json.dumps({**_EVAL_ROW, "step": None}), "step"),
+], ids=["not-json", "not-an-object", "string-value", "missing-field",
+        "null-step"])
+def test_malformed_metrics_log_exits_2_and_names_line_and_field(
+        tmp_path, capsys, line, field):
+    log = tmp_path / "metrics.jsonl"
+    log.write_text(json.dumps(_EVAL_ROW) + "\n" + line + "\n")
+    out = tmp_path / "c.csv"
+    rc = main(["curve", "--runs", str(log), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{log}: line 2:" in err
+    if field is not None:
+        assert f"{field}:" in err
+    assert not out.exists()
 
 
 def test_curve_without_metrics_exits_3(tmp_path, capsys):

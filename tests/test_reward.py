@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pitchlab import reward, sim
+from pitchlab.trainer import ExperimentConfig
+from pitchlab.vdn import TrainConfig
 
 
 def events(goal=False, out_of_bounds=False, turnover=False, terminal=False):
@@ -87,39 +89,36 @@ def test_config_rejects_bad_gamma():
 def test_potential_gamma_must_match_training_gamma():
     cfg = reward.ShapingConfig(mode=reward.ShapingMode.POTENTIAL_BASED,
                                weight=0.1, gamma=0.9)
-    with pytest.raises(sim.ConfigError):
-        reward.RewardShaper(cfg, train_gamma=0.99)
-    reward.RewardShaper(cfg, train_gamma=0.9)
+
+    def experiment(train_gamma):
+        return ExperimentConfig(scenario=sim.ScenarioConfig(), reward=cfg,
+                                train=TrainConfig(gamma=train_gamma))
+
+    with pytest.raises(sim.ConfigError, match="^reward.gamma:"):
+        experiment(0.99)
+    experiment(0.9)
 
 
-# -- shaper ---------------------------------------------------------------------
+# -- shaped reward ------------------------------------------------------------
 
 def test_zero_weight_is_bitwise_sparse():
     for mode in reward.ShapingMode:
         cfg = reward.ShapingConfig(mode=mode, weight=0.0, gamma=0.99)
-        shaper = reward.RewardShaper(cfg, train_gamma=0.99)
-        shaper.episode_start(5.0)
         for sparse in (-1.0, 0.0, 0.25):
-            assert shaper.step(sparse, value_curr=3.7) == sparse
-        assert not shaper.needs_value
+            assert reward.shaped_reward(cfg, sparse, 5.0, 3.7) == sparse
 
 
 def test_shaper_additive_stream():
     cfg = reward.ShapingConfig(mode=reward.ShapingMode.ADDITIVE,
                                weight=0.1, gamma=0.99)
-    shaper = reward.RewardShaper(cfg, train_gamma=0.99)
-    shaper.episode_start(2.0)
-    assert shaper.step(0.0, 3.0) == 0.0 - 0.1 * 3.0
-    assert shaper.step(-1.0, 2.0) == -1.0 - 0.1 * 2.0
-    assert shaper.needs_value
+    assert reward.shaped_reward(cfg, 0.0, 2.0, 3.0) == 0.0 - 0.1 * 3.0
+    assert reward.shaped_reward(cfg, -1.0, 3.0, 2.0) == -1.0 - 0.1 * 2.0
 
 
 def test_shaper_potential_uses_previous_value():
     cfg = reward.ShapingConfig(mode=reward.ShapingMode.POTENTIAL_BASED,
                                weight=1.0, gamma=0.99)
-    shaper = reward.RewardShaper(cfg, train_gamma=0.99)
-    shaper.episode_start(1.0)
-    first = shaper.step(0.0, 0.5)
+    first = reward.shaped_reward(cfg, 0.0, 1.0, 0.5)
     assert abs(first - (0.99 * -0.5 + 1.0)) < 1e-15
-    second = shaper.step(0.0, 0.25)
+    second = reward.shaped_reward(cfg, 0.0, 0.5, 0.25)
     assert abs(second - (0.99 * -0.25 + 0.5)) < 1e-15

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_inactive_probe_reports_no_epv():
 def test_value_probe_holds_between_strides():
     cfg = tiny_config(field_stride=4)
     values = trainer._load_epv_values(cfg)
-    tally = trainer.EpisodeTally(cfg, cfg.train.gamma, values)
+    tally = trainer.EpisodeTally(cfg, values)
     st = sim.reset(cfg.scenario, 0)
     tally.start(st)
     v0 = tally.value
@@ -262,6 +263,29 @@ def test_value_probe_holds_between_strides():
     assert held[7] != held[3]
     assert tally.steps == 8
     assert tally.epv_sum == sum(held)
+
+
+def test_potential_shaping_uses_the_held_values():
+    cfg = tiny_config(field_stride=3)
+    cfg = replace(cfg, reward=ShapingConfig(mode=ShapingMode.POTENTIAL_BASED,
+                                            weight=0.5, gamma=cfg.train.gamma))
+    tally = trainer.EpisodeTally(cfg, trainer._load_epv_values(cfg))
+    st = sim.reset(cfg.scenario, 0)
+    tally.start(st)
+    held, sparse, shaped = [tally.value], [], []
+    for _ in range(8):
+        st, events = sim.step(st, [0])
+        shaped.append(tally.step(st, events))
+        held.append(tally.value)
+        sparse.append(reward.sparse_reward(events))
+    # the value is refreshed after steps 3 and 6 and held in between
+    assert held[0] == held[1] == held[2] != held[3]
+    assert held[3] == held[4] == held[5] != held[6]
+    assert held[6] == held[7] == held[8]
+    for t in range(8):
+        assert shaped[t] == reward.potential_shaped(
+            sparse[t], held[t], held[t + 1], weight=0.5, gamma=0.99)
+    assert tally.shaped == sum(shaped)
 
 
 # -- training loop -------------------------------------------------------------------------
