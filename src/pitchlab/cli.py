@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import yaml
 
@@ -39,8 +39,7 @@ _RUNTIME_ERRORS = (pc.InsufficientDataError, pc.NonConvergenceError,
 def load_config_dict(path: str) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(path) as f:
-        doc = yaml.safe_load(f)
+    doc = yaml.safe_load(sim.read_text(path))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return doc
@@ -91,10 +90,17 @@ def _cmd_fit_pass_model(args) -> int:
     x, k = pc.load_pass_events(args.events)
     init = pc.PassModelParams(sigma=args.init_sigma, lam=args.init_lambda)
     params = pc.fit_pass_model(x, k, init=init, tol=args.tol)
-    with open(args.out, "w") as f:
-        json.dump(config_to_dict(params), f)
+    sim.write_json_atomic(args.out, config_to_dict(params))
     print(f"sigma={params.sigma!r} lambda={params.lam!r}")
     return 0
+
+
+def _add_pitch_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per PitchSpec field (`--grid-m` for grid_m), defaulting to
+    the field's default."""
+    for f in fields(PitchSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
 
 
 def _pitch_from_args(args) -> PitchSpec:
@@ -102,9 +108,8 @@ def _pitch_from_args(args) -> PitchSpec:
         doc = load_config_dict(args.config)
         return config_from_dict(ScenarioConfig, doc.get("scenario", {}),
                                 "scenario").pitch
-    return PitchSpec(length=args.length, width=args.width,
-                     grid_m=args.grid_m, grid_n=args.grid_n,
-                     goal_half_width=args.goal_half_width)
+    return PitchSpec(**{f.name: getattr(args, f.name)
+                        for f in fields(PitchSpec)})
 
 
 def _cmd_solve_epv(args) -> int:
@@ -126,7 +131,7 @@ def _state_for_render(args) -> sim.GameState:
     config = load_experiment(args.config)
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(config.scenario, args.seed)
-    steps = trainer_mod.rollout(state, learner.greedy_actions, config.obs_mode)
+    steps = trainer_mod.rollout(state, learner.greedy_actions)
     for _ in itertools.islice(steps, max(args.at_step, 0)):
         pass
     return state
@@ -174,7 +179,7 @@ def _cmd_replay(args) -> int:
     state = sim.reset(scenario, args.seed)
     with open(args.out, "w") as f:
         for _, actions, events, _ in trainer_mod.rollout(
-                state, learner.greedy_actions, config.obs_mode):
+                state, learner.greedy_actions):
             row = sim.snapshot(state)
             row["actions"] = [int(a) for a in actions]
             row["events"] = {k: getattr(events, k) for k in (
@@ -245,11 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output grid JSON path")
     p.add_argument("--config", default=None,
                    help="experiment config supplying the pitch")
-    p.add_argument("--length", type=float, default=105.0)
-    p.add_argument("--width", type=float, default=68.0)
-    p.add_argument("--grid-m", type=int, default=32)
-    p.add_argument("--grid-n", type=int, default=20)
-    p.add_argument("--goal-half-width", type=float, default=3.66)
+    _add_pitch_flags(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_solve_epv)
 
@@ -266,11 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-step", type=int, default=50,
                    help="steps to advance before rendering")
     p.add_argument("--epv-grid", default=None, help="value-grid JSON file")
-    p.add_argument("--length", type=float, default=105.0)
-    p.add_argument("--width", type=float, default=68.0)
-    p.add_argument("--grid-m", type=int, default=32)
-    p.add_argument("--grid-n", type=int, default=20)
-    p.add_argument("--goal-half-width", type=float, default=3.66)
+    _add_pitch_flags(p)
     p.add_argument("--out", required=True, help="output .ppm path")
     p.set_defaults(fn=_cmd_render_field)
 

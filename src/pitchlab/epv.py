@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import PitchSpec, write_json_atomic
+from .sim import PitchSpec, is_finite_number, read_text, write_json_atomic
 
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
@@ -196,32 +196,54 @@ def save_epv_grid(path: str, values: np.ndarray, pitch: PitchSpec) -> None:
     })
 
 
+_GRID_KEYS = ("version", "length", "width", "goal_half_width", "m", "n",
+              "values")
+
+
 def load_epv_grid(path: str, pitch: PitchSpec | None = None
                   ) -> tuple[np.ndarray, dict]:
     """Read a value grid; returns (values, geometry dict).
 
-    Raises FormatError on missing keys, wrong version, a flat values list
-    whose length is not m*n, or values outside [0, 1], and
-    DimensionMismatchError when a given `pitch` has another grid shape.
+    Raises FormatError naming the file and the field on invalid JSON, a
+    wrong version, a missing or unknown key, `m` or `n` not a positive int,
+    geometry that is not a finite number, or `values` that are not m*n
+    finite numbers in [0, 1]; DimensionMismatchError when a given `pitch`
+    has another grid shape.
     """
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(read_text(path, FormatError))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     if doc.get("version") != 1:
         raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    for key in ("length", "width", "goal_half_width", "m", "n", "values"):
+    for key in _GRID_KEYS:
         if key not in doc:
             raise FormatError(f"{path}: missing key '{key}'")
+    unknown = sorted(set(doc) - set(_GRID_KEYS))
+    if unknown:
+        raise FormatError(f"{path}: {unknown[0]}: unknown field")
+
+    def require(ok: bool, key: str, what: str) -> None:
+        if not ok:
+            raise FormatError(f"{path}: {key}: expected {what}, "
+                              f"got {doc[key]!r:.60}")
+
+    for key in ("m", "n"):
+        require(type(doc[key]) is int and doc[key] > 0, key, "a positive int")
+    for key in ("length", "width", "goal_half_width"):
+        require(is_finite_number(doc[key]), key, "a finite number")
     m, n = doc["m"], doc["n"]
     flat = doc["values"]
     if not isinstance(flat, list) or len(flat) != m * n:
         raise FormatError(
-            f"{path}: expected {m * n} values, got "
+            f"{path}: values: expected {m * n} values, got "
             f"{len(flat) if isinstance(flat, list) else type(flat).__name__}")
+    for i, v in enumerate(flat):
+        if not is_finite_number(v):
+            raise FormatError(f"{path}: values[{i}]: expected a finite "
+                              f"number, got {v!r:.60}")
     arr = np.array(flat, dtype=float).reshape(m, n)
     if np.any(arr < 0) or np.any(arr > 1):
         raise FormatError(f"{path}: values outside [0, 1]")

@@ -10,12 +10,13 @@ offset are the pass-model parameters, fit by maximum likelihood on
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import ConfigError, GameState, PlayerState
+from .sim import ConfigError, GameState, PlayerState, read_text
 
 # logistic(36) is the largest float64 strictly below 1; clamping there keeps
 # outputs inside the open interval (0, 1) for arbitrarily extreme inputs
@@ -161,26 +162,25 @@ def load_pass_events(path: str) -> tuple[np.ndarray, np.ndarray]:
     not two finite numbers raises a ConfigError naming the file, the line
     and the column."""
     xs, ks = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["x", "k"]:
-            raise ConfigError(f"{path}: expected CSV header 'x,k'")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) > 2:
-                raise ConfigError(f"{where}: expected 2 columns, got {len(row)}")
-            for column, text, out in zip("xk", row + [""], (xs, ks)):
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ConfigError(f"{where}, column {column}: expected a "
-                                      f"finite number, got {text!r}")
-                out.append(value)
+    reader = csv.reader(io.StringIO(read_text(path)))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != ["x", "k"]:
+        raise ConfigError(f"{path}: expected CSV header 'x,k'")
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(row) > 2:
+            raise ConfigError(f"{where}: expected 2 columns, got {len(row)}")
+        for column, text, out in zip("xk", row + [""], (xs, ks)):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}, column {column}: expected a "
+                                  f"finite number, got {text!r}")
+            out.append(value)
     return np.array(xs), np.array(ks)
 
 

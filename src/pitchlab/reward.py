@@ -29,20 +29,16 @@ class ShapingConfig:
     """How the dense term is mixed into the sparse reward.
 
     weight 0 turns shaping off; the shaped stream is then bit-identical to
-    the sparse one.  In potential-based mode `gamma` must match the
-    training discount or the policy-invariance argument breaks down;
-    `trainer.ExperimentConfig` rejects a mismatch when the config loads.
+    the sparse one.  Potential-based mode discounts with the learner's own
+    gamma (`train.gamma`), as the policy-invariance argument requires.
     """
 
     mode: ShapingMode = ShapingMode.ADDITIVE
     weight: float = 0.1
-    gamma: float = 0.99
 
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ConfigError("shaping weight must be >= 0")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("shaping gamma must lie in (0, 1]")
 
 
 def sparse_reward(events: StepEvents) -> float:
@@ -64,13 +60,13 @@ def potential_shaped(sparse: float, value_prev: float, value_curr: float,
 
 
 def shaped_reward(config: ShapingConfig, sparse: float, value_prev: float,
-                  value_curr: float) -> float:
+                  value_curr: float, gamma: float) -> float:
     """The reward of one transition from a state valued `value_prev` to one
     valued `value_curr`: the sparse reward itself at weight 0, else the
-    configured mode's shaped form."""
+    configured mode's shaped form, potential-based with discount `gamma`."""
     if config.weight == 0.0:
         return sparse
     if config.mode is ShapingMode.ADDITIVE:
         return additive_shaped(sparse, value_curr, config.weight)
     return potential_shaped(sparse, value_prev, value_curr, config.weight,
-                            config.gamma)
+                            gamma)

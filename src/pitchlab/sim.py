@@ -81,38 +81,38 @@ class PitchSpec:
         return out
 
 
+# -- kinematic constants of the simulator -------------------------------------
+
+DT = 0.1                       # seconds per step
+MAX_SPEED = 8.0                # outfield top speed, m/s
+GK_CONTROL_SPEED = 0.6         # nominal GK speed used by arrival-time models
+REACTION_TIME = 0.5            # seconds before a player starts moving
+ATTACKER_SPEED_FACTOR = 0.95
+DRIBBLE_SPEED_FACTOR = 0.85
+TACKLE_RADIUS = 1.5            # press must be this close to attempt a tackle
+PRESS_RADIUS = 4.0             # carrier counts as pressed inside this radius
+SCORING_ZONE_DEPTH = 20.0      # shots allowed when carrier x is below this
+PASS_SPEED = 16.0
+SHOT_SPEED = 22.0
+RECEIVE_RADIUS = 1.2           # attackers control the ball inside this
+INTERCEPT_RADIUS = 0.9         # defenders win a flying ball inside this
+BALL_DRAG = 0.25               # fractional speed loss per second in flight
+NOISE_MAX = 0.35               # radians of aim noise at difficulty 0
+TACKLE_PROB = 0.15
+FOUL_PROB = 0.1
+DECISION_PERIOD = 5            # steps between attacker re-decisions
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Episode setup plus the kinematic constants of the simulator.
-
-    Only the first block is scenario-defining; the rest are physical
-    defaults exposed for tuning from the experiment config.
-    """
+    """Episode setup: team sizes, attacker difficulty, episode length and
+    pitch.  The physics are the module's constants (DT, MAX_SPEED, ...)."""
 
     n_defenders: int = 4
     n_attackers: int = 6
     difficulty: float = 0.95
     max_episode_steps: int = 400
-    dt: float = 0.1
     pitch: PitchSpec = PitchSpec()
-
-    max_speed: float = 8.0              # outfield top speed, m/s
-    gk_control_speed: float = 0.6       # nominal GK speed used by arrival-time models
-    reaction_time: float = 0.5          # seconds before a player starts moving
-    attacker_speed_factor: float = 0.95
-    dribble_speed_factor: float = 0.85
-    tackle_radius: float = 1.5          # press must be this close to attempt a tackle
-    press_radius: float = 4.0           # carrier counts as pressed inside this radius
-    scoring_zone_depth: float = 20.0    # shots allowed when carrier x is below this
-    pass_speed: float = 16.0
-    shot_speed: float = 22.0
-    receive_radius: float = 1.2         # attackers control the ball inside this
-    intercept_radius: float = 0.9       # defenders win a flying ball inside this
-    ball_drag: float = 0.25             # fractional speed loss per second in flight
-    noise_max: float = 0.35             # radians of aim noise at difficulty 0
-    tackle_prob: float = 0.15
-    foul_prob: float = 0.1
-    decision_period: int = 5            # steps between attacker re-decisions
 
     def __post_init__(self) -> None:
         if self.n_defenders < 1:
@@ -123,22 +123,6 @@ class ScenarioConfig:
             raise ConfigError("difficulty must lie in [0, 1]")
         if self.max_episode_steps < 1:
             raise ConfigError("max_episode_steps must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        for name in ("max_speed", "gk_control_speed", "pass_speed", "shot_speed",
-                     "tackle_radius", "receive_radius", "intercept_radius",
-                     "press_radius"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("tackle_prob", "foul_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.ball_drag < 0:
-            raise ConfigError("ball_drag must be >= 0")
-        if self.reaction_time < 0:
-            raise ConfigError("reaction_time must be >= 0")
-        if self.decision_period < 1:
-            raise ConfigError("decision_period must be >= 1")
 
     @property
     def n_players(self) -> int:
@@ -265,10 +249,10 @@ class GameState:
         self.gk_index = n_def
         self.is_attacker = np.zeros(P, dtype=bool)
         self.is_attacker[n_def + 1:] = True
-        self.max_speeds = np.full(P, scenario.max_speed)
-        self.max_speeds[self.gk_index] = scenario.gk_control_speed
-        self.max_speeds[n_def + 1:] = scenario.max_speed * scenario.attacker_speed_factor
-        self.reaction_times = np.full(P, scenario.reaction_time)
+        self.max_speeds = np.full(P, MAX_SPEED)
+        self.max_speeds[self.gk_index] = GK_CONTROL_SPEED
+        self.max_speeds[n_def + 1:] = MAX_SPEED * ATTACKER_SPEED_FACTOR
+        self.reaction_times = np.full(P, REACTION_TIME)
         self.ball_pos = ball_pos
         self.ball_vel = ball_vel
         self.carrier = carrier
@@ -404,11 +388,11 @@ def attacker_policy(state: GameState, difficulty: float,
         d_goal = float(np.hypot(*(cpos - goal)))
         pressed_dist = float(np.min(np.hypot(def_pos[:, 0] - cpos[0],
                                              def_pos[:, 1] - cpos[1])))
-        in_zone = cpos[0] <= sc.scoring_zone_depth
+        in_zone = cpos[0] <= SCORING_ZONE_DEPTH
         teammates = [int(j) for j in att_idx if j != carrier]
 
         scores: dict[CarrierOption, float] = {}
-        unpressed = pressed_dist > sc.press_radius
+        unpressed = pressed_dist > PRESS_RADIUS
         scores[CarrierOption.DRIBBLE] = 0.55 if unpressed else 0.25
 
         if teammates:
@@ -430,7 +414,7 @@ def attacker_policy(state: GameState, difficulty: float,
         if in_zone:
             scores[CarrierOption.SHOOT] = (
                 (2.0 if unpressed else 0.0)
-                + 0.4 * max(0.0, 1.0 - d_goal / (2.0 * sc.scoring_zone_depth))
+                + 0.4 * max(0.0, 1.0 - d_goal / (2.0 * SCORING_ZONE_DEPTH))
                 + 0.6 * max(0.0, 1.0 - d_goal / 12.0)
             )
 
@@ -458,12 +442,12 @@ def attacker_policy(state: GameState, difficulty: float,
         elif option is CarrierOption.PASS:
             tpos = state.positions[pass_target]
             tvel = state.velocities[pass_target]
-            flight = float(np.hypot(*(tpos - cpos))) / sc.pass_speed
+            flight = float(np.hypot(*(tpos - cpos))) / PASS_SPEED
             aim = tpos + 0.5 * flight * tvel  # lead the runner half a flight
             aim_point = (float(aim[0]), float(aim[1]))
         else:
             base = _unit(goal - cpos)
-            if pressed_dist <= sc.press_radius:
+            if pressed_dist <= PRESS_RADIUS:
                 nearest = def_pos[np.argmin(np.hypot(def_pos[:, 0] - cpos[0],
                                                      def_pos[:, 1] - cpos[1]))]
                 to_def = _unit(nearest - cpos)
@@ -553,9 +537,9 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         elif a is DefenderAction.PRESS:
             press_flags[i] = True
             target = pos[state.carrier] if state.carrier is not None else state.ball_pos
-            vel[i] = _unit(target - pos[i]) * sc.max_speed
+            vel[i] = _unit(target - pos[i]) * MAX_SPEED
         else:
-            vel[i] = _MOVE_DIRS[a.value] * sc.max_speed
+            vel[i] = _MOVE_DIRS[a.value] * MAX_SPEED
     vel[state.gk_index] = 0.0
 
     # -- attacker decisions (held while a pass or shot is in flight) ---------
@@ -564,12 +548,12 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         cp = pos[state.carrier]
         dmask = ~state.is_attacker
         pressed_now = bool(np.min(np.hypot(pos[dmask, 0] - cp[0],
-                                           pos[dmask, 1] - cp[1])) <= sc.press_radius)
+                                           pos[dmask, 1] - cp[1])) <= PRESS_RADIUS)
     needs_refresh = state.intents is None or (
         state.carrier is not None
         and (state.carrier != state.intents_carrier
              or pressed_now != state.intents_pressed  # react to a press event
-             or state.step_index - state.intents_step >= sc.decision_period)
+             or state.step_index - state.intents_step >= DECISION_PERIOD)
     )
     if needs_refresh:
         state.intents = attacker_policy(state, sc.difficulty, rng)
@@ -582,10 +566,10 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
                 and state.carrier is not None:
             cpos = pos[state.carrier]
             aim = np.array(intents.aim_point)
-            noise = (1.0 - sc.difficulty) * sc.noise_max
+            noise = (1.0 - sc.difficulty) * NOISE_MAX
             direction = _rotate(_unit(aim - cpos), rng.normal(0.0, noise))
-            speed = sc.shot_speed if intents.carrier_option is CarrierOption.SHOOT \
-                else sc.pass_speed
+            speed = SHOT_SPEED if intents.carrier_option is CarrierOption.SHOOT \
+                else PASS_SPEED
             state.ball_vel = direction * speed
             vel[state.carrier] = 0.0
             state.kick_shield = state.carrier  # kicker cannot re-catch instantly
@@ -594,7 +578,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
     intents = state.intents
 
     # -- attacker velocities ------------------------------------------------
-    att_speed = sc.max_speed * sc.attacker_speed_factor
+    att_speed = MAX_SPEED * ATTACKER_SPEED_FACTOR
     ball_flying = state.carrier is None
     for k, idx in enumerate(state.attacker_indices):
         if idx == state.carrier:
@@ -602,7 +586,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
                 d = np.array(intents.dribble_dir)
             else:
                 d = _unit(np.array(pitch.goal_center) - pos[idx])
-            vel[idx] = d * att_speed * sc.dribble_speed_factor
+            vel[idx] = d * att_speed * DRIBBLE_SPEED_FACTOR
         elif (ball_flying and intents.carrier_option is CarrierOption.PASS
                 and intents.pass_target == idx):
             # intended receiver runs to meet the pass
@@ -616,7 +600,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
                 vel[idx] = 0.0
 
     # -- integrate player positions (containment clamp) ----------------------
-    pos += vel * sc.dt
+    pos += vel * DT
     np.clip(pos[:, 0], 0.0, pitch.length, out=pos[:, 0])
     np.clip(pos[:, 1], 0.0, pitch.width, out=pos[:, 1])
 
@@ -626,7 +610,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         state.ball_vel = vel[state.carrier].copy()
     else:
         old = state.ball_pos
-        new = old + state.ball_vel * sc.dt
+        new = old + state.ball_vel * DT
         delta = new - old
 
         # fraction of the segment inside the pitch
@@ -653,11 +637,11 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         nearest_pts = old + tt[:, None] * seg
         d = np.hypot(pos[:, 0] - nearest_pts[:, 0], pos[:, 1] - nearest_pts[:, 1])
         if state.kick_shield is not None:
-            if d[state.kick_shield] > sc.receive_radius:
+            if d[state.kick_shield] > RECEIVE_RADIUS:
                 state.kick_shield = None
             else:
                 d[state.kick_shield] = np.inf
-        radii = np.where(state.is_attacker, sc.receive_radius, sc.intercept_radius)
+        radii = np.where(state.is_attacker, RECEIVE_RADIUS, INTERCEPT_RADIUS)
         close = np.nonzero(d <= radii)[0]
         if len(close):
             nearest = int(close[np.argmin(tt[close])])  # first along the path
@@ -684,7 +668,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
             state.ball_pos = end
         else:
             state.ball_pos = new
-            state.ball_vel = state.ball_vel * max(0.0, 1.0 - sc.ball_drag * sc.dt)
+            state.ball_vel = state.ball_vel * max(0.0, 1.0 - BALL_DRAG * DT)
 
     # -- press tackles -------------------------------------------------------
     if not state.terminal and state.carrier is not None:
@@ -692,14 +676,14 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         for i in range(n_def):
             if not press_flags[i]:
                 continue
-            if math.hypot(pos[i, 0] - cpos[0], pos[i, 1] - cpos[1]) > sc.tackle_radius:
+            if math.hypot(pos[i, 0] - cpos[0], pos[i, 1] - cpos[1]) > TACKLE_RADIUS:
                 continue
-            if rng.random() < sc.tackle_prob:
+            if rng.random() < TACKLE_PROB:
                 events.tackle = True
                 events.turnover = True
                 _terminate(state, events, OutcomeKind.TURNOVER)
                 break
-            if rng.random() < sc.foul_prob:
+            if rng.random() < FOUL_PROB:
                 events.foul = True
                 events.turnover = True
                 _terminate(state, events, OutcomeKind.TURNOVER)
@@ -734,13 +718,13 @@ def observe(state: GameState) -> np.ndarray:
     pos, vel = state.positions, state.velocities
     out[0:P * 4:4] = 2.0 * pos[:, 0] / pitch.length - 1.0
     out[1:P * 4:4] = 2.0 * pos[:, 1] / pitch.width - 1.0
-    out[2:P * 4:4] = vel[:, 0] / sc.max_speed
-    out[3:P * 4:4] = vel[:, 1] / sc.max_speed
+    out[2:P * 4:4] = vel[:, 0] / MAX_SPEED
+    out[3:P * 4:4] = vel[:, 1] / MAX_SPEED
     b = P * 4
     out[b] = 2.0 * state.ball_pos[0] / pitch.length - 1.0
     out[b + 1] = 2.0 * state.ball_pos[1] / pitch.width - 1.0
-    out[b + 2] = state.ball_vel[0] / sc.shot_speed
-    out[b + 3] = state.ball_vel[1] / sc.shot_speed
+    out[b + 2] = state.ball_vel[0] / SHOT_SPEED
+    out[b + 3] = state.ball_vel[1] / SHOT_SPEED
     out[b + 4:] = 0.0
     if state.carrier is not None:
         out[b + 4 + state.carrier] = 1.0
@@ -832,13 +816,34 @@ def _decode(tp, value, path: str):
     return value
 
 
-def write_json_atomic(path: str, doc) -> None:
-    """json.dump `doc` to a temporary file beside `path`, then os.replace it
-    over `path`, so a write that fails midway leaves the old file intact."""
+def is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) that is finite as a float."""
+    try:   # an OverflowError for an int beyond the float range
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def read_text(path: str, error: type[Exception] = ConfigError) -> str:
+    """The whole text of the UTF-8 file at `path`, newlines translated to
+    "\n".  Bytes that are not UTF-8 raise `error` naming the file, the way
+    each reader reports a file it cannot parse."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte "
+                    f"{e.start})") from None
+
+
+def write_json_atomic(path: str, doc, **dump_kw) -> None:
+    """json.dump `doc` (with `dump_kw`) to a temporary file beside `path`,
+    then os.replace it over `path`, so a write that fails midway leaves the
+    old file intact."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w") as f:
-            json.dump(doc, f)
+            json.dump(doc, f, **dump_kw)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -885,8 +890,7 @@ def load_state(path: str) -> GameState:
     scenario it carries.  Any violation raises ConfigError naming the file
     and the field."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -48,7 +47,6 @@ class ExperimentConfig:
     eval_episodes: int = 32
     eval_difficulties: tuple[float, ...] = ()   # empty: scenario difficulty only
     field_stride: int = 1             # recompute the field every k steps
-    obs_mode: str = "global"          # or "egocentric"
 
     def __post_init__(self) -> None:
         if len(self.seeds) == 0:
@@ -61,16 +59,9 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.field_stride < 1:
             raise ConfigError("field_stride must be >= 1")
-        if self.obs_mode not in ("global", "egocentric"):
-            raise ConfigError(f"unknown obs_mode '{self.obs_mode}'")
         for d in self.eval_difficulties:
             if not 0.0 <= d <= 1.0:
                 raise ConfigError("eval difficulties must lie in [0, 1]")
-        if self.reward.mode is reward_mod.ShapingMode.POTENTIAL_BASED \
-                and self.reward.gamma != self.train.gamma:
-            raise ConfigError(
-                f"reward.gamma: potential-based shaping needs reward.gamma == "
-                f"train.gamma ({self.reward.gamma} != {self.train.gamma})")
 
     @property
     def final_difficulties(self) -> tuple[float, ...]:
@@ -82,17 +73,13 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Strict load through `sim.config_from_dict`, with these rules on
         top: `scenario`, `train` and `seeds` are required; an absent
-        `reward`, or an absent `reward.gamma`, takes the defaults, with
-        `reward.gamma` defaulting to `train.gamma`; an absent or empty
-        `pass_model` means the default pass model."""
+        `reward` takes the defaults; an absent or empty `pass_model` means
+        the default pass model."""
         doc = dict(d)
         for req in ("scenario", "train", "seeds"):
             if req not in doc:
                 raise ConfigError(f"{req}: missing field")
-        reward = doc.get("reward", {})
-        if isinstance(reward, dict) and "gamma" not in reward:
-            train = config_from_dict(TrainConfig, doc["train"], "train")
-            doc["reward"] = {**reward, "gamma": train.gamma}
+        doc.setdefault("reward", {})
         doc["pass_model"] = doc.get("pass_model") or {}
         return config_from_dict(cls, doc, "")
 
@@ -123,23 +110,10 @@ def _jsonl(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def per_agent_observations(scenario: ScenarioConfig, obs: np.ndarray,
-                           mode: str) -> np.ndarray:
-    """(n_defenders, obs_dim) copies of the flat observation.
-
-    In global mode every agent sees the same vector.  In egocentric mode
-    agent a's copy swaps its own player block (and carrier one-hot slot)
-    with block 0, so "slot 0" always means "me".
-    """
-    out = np.tile(obs, (scenario.n_defenders, 1))
-    if mode == "global":
-        return out
-    oh = scenario.n_players * 4 + 4   # the carrier one-hot's first slot
-    for a in range(1, scenario.n_defenders):
-        mine = slice(4 * a, 4 * a + 4)
-        out[a, :4], out[a, mine] = obs[mine], obs[:4]
-        out[a, oh], out[a, oh + a] = obs[oh + a], obs[oh]
-    return out
+def per_agent_observations(scenario: ScenarioConfig,
+                           obs: np.ndarray) -> np.ndarray:
+    """(n_defenders, obs_dim): one copy of the flat observation per agent."""
+    return np.tile(obs, (scenario.n_defenders, 1))
 
 
 def _load_epv_values(config: ExperimentConfig) -> np.ndarray | None:
@@ -180,7 +154,7 @@ class EpisodeTally:
             self.value = self._state_value(state)
         sparse = reward_mod.sparse_reward(events)
         shaped = reward_mod.shaped_reward(self.config.reward, sparse, prev,
-                                          self.value)
+                                          self.value, self.config.train.gamma)
         self.shaped += shaped
         self.sparse += sparse
         self.epv_sum += self.value
@@ -198,16 +172,15 @@ class EpisodeTally:
         )
 
 
-def rollout(state: GameState, act, obs_mode: str):
+def rollout(state: GameState, act):
     """Plays `state` to its end, advancing it in place.  Each step hands the
     per-agent observations to `act` for the actions, steps the simulator and
     yields (obs, actions, events, next_obs)."""
-    obs = per_agent_observations(state.scenario, sim.observe(state), obs_mode)
+    obs = per_agent_observations(state.scenario, sim.observe(state))
     while not state.terminal:
         actions = act(obs)
         _, events = sim.step(state, actions)
-        next_obs = per_agent_observations(state.scenario, sim.observe(state),
-                                          obs_mode)
+        next_obs = per_agent_observations(state.scenario, sim.observe(state))
         yield obs, actions, events, next_obs
         obs = next_obs
 
@@ -230,8 +203,7 @@ def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
         env_seed = episode_seed(seed, i)
         state = sim.reset(scenario, env_seed)
         tally.start(state)
-        for _, _, events, _ in rollout(state, learner.greedy_actions,
-                                       config.obs_mode):
+        for _, _, events, _ in rollout(state, learner.greedy_actions):
             tally.step(state, events)
         records.append(tally.record(state, env_seed, i))
     mean_gd = float(np.mean([r.goal_difference for r in records]))
@@ -308,7 +280,7 @@ def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> None:
                 env_seed = episode_seed(seed, episode_idx)
                 state = sim.reset(scenario, env_seed)
                 tally.start(state)
-                transitions = rollout(state, act, config.obs_mode)
+                transitions = rollout(state, act)
                 transition = next(transitions)
             obs, actions, events, next_obs = transition
             shaped = tally.step(state, events)
@@ -334,8 +306,8 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     """
     run_dir = os.path.join(out_dir, f"run-{config.config_hash()}")
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w") as f:
-        json.dump(config_to_dict(config), f, indent=2, sort_keys=True)
+    sim.write_json_atomic(os.path.join(run_dir, "config.json"),
+                          config_to_dict(config), indent=2, sort_keys=True)
 
     def one(seed: int) -> None:
         seed_dir = os.path.join(run_dir, f"seed-{seed}")
@@ -359,18 +331,17 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
 def _numbered_rows(path: str):
     """Yields (line number, row) for each non-blank line of a JSONL log; a
     line that is not a JSON object raises a ConfigError naming it."""
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: line {lineno}: not JSON "
-                                  f"({e.msg})") from None
-            if not isinstance(row, dict):
-                raise ConfigError(f"{path}: line {lineno}: expected an object")
-            yield lineno, row
+    for lineno, line in enumerate(sim.read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: line {lineno}: not JSON "
+                              f"({e.msg})") from None
+        if not isinstance(row, dict):
+            raise ConfigError(f"{path}: line {lineno}: expected an object")
+        yield lineno, row
 
 
 def load_metrics(path: str) -> list[dict]:
@@ -395,11 +366,7 @@ def learning_curve(metrics_paths: list[str],
                 continue
             for key in ("step", "difficulty", "mean_goal_difference"):
                 value = row.get(key)
-                try:   # a TypeError for a non-number, OverflowError past float
-                    finite = type(value) is not bool and math.isfinite(value)
-                except (TypeError, OverflowError):
-                    finite = False
-                if not finite:
+                if not sim.is_finite_number(value):
                     got = repr(value) if key in row else "nothing"
                     raise ConfigError(f"{path}: line {lineno}: {key}: "
                                       f"expected a finite number, got {got}")

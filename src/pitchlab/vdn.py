@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import (ConfigError, config_from_dict, config_to_dict,
+from .sim import (ConfigError, config_from_dict, config_to_dict, read_text,
                   write_json_atomic)
 
 
@@ -416,8 +416,7 @@ class VDNLearner:
         must be finite.  Any violation raises CheckpointFormatError naming
         the file and the field."""
         try:
-            with open(path) as f:
-                doc = json.load(f)
+            doc = json.loads(read_text(path, CheckpointFormatError))
         except json.JSONDecodeError as e:
             raise CheckpointFormatError(f"{path}: not valid JSON ({e})") from e
         if not isinstance(doc, dict) or doc.get("version") != 1:

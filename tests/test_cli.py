@@ -19,8 +19,7 @@ def micro_config_dict(weight=0.1, seeds=(1,)):
     cfg = ExperimentConfig(
         scenario=ScenarioConfig(n_defenders=1, n_attackers=1, difficulty=0.95,
                                 max_episode_steps=40),
-        reward=ShapingConfig(mode=ShapingMode.ADDITIVE, weight=weight,
-                             gamma=0.99),
+        reward=ShapingConfig(mode=ShapingMode.ADDITIVE, weight=weight),
         train=TrainConfig(total_steps=60, learning_rate=1e-3, batch_size=8,
                           target_sync_period=30, buffer_capacity=64,
                           hidden=(8,), update_every=4, learn_start=8),
@@ -90,15 +89,24 @@ def _set(*keys, value):
     (_set("train", value=None), "train"),
     (_set("scenario", value=[2, 3]), "scenario"),
     (_set("eval_difficulties", value="0.5"), "eval_difficulties"),
-    (_set("scenario", "dt", value=float("nan")), "scenario.dt"),
-    (_set("scenario", "max_speed", value=float("inf")), "scenario.max_speed"),
-    (_set("scenario", "pass_speed", value=10**400), "scenario.pass_speed"),
+    (_set("scenario", "pitch", "length", value=float("nan")),
+     "scenario.pitch.length"),
+    (_set("scenario", "pitch", "width", value=float("inf")),
+     "scenario.pitch.width"),
+    (_set("scenario", "pitch", "goal_half_width", value=10**400),
+     "scenario.pitch.goal_half_width"),
     (_set("reward", "weight", value=float("nan")), "reward.weight"),
     (_set("train", "total_steps", value=1000.5), "train.total_steps"),
     (_set("scenario", "difficulty", value=True), "scenario.difficulty"),
     (_set("seeds", value=[1, 1]), "seeds"),
-    (_set("reward", value={"mode": "potential_based", "gamma": 0.9}),
-     "reward.gamma"),
+    # keys a config of an older version carries: the simulator's physics,
+    # the shaping discount (now train.gamma) and the observation mode
+    (_set("scenario", "dt", value=0.1), "scenario.dt"),
+    (_set("scenario", "max_speed", value=8.0), "scenario.max_speed"),
+    (_set("scenario", "pass_speed", value=16.0), "scenario.pass_speed"),
+    (_set("scenario", "tackle_prob", value=0.15), "scenario.tackle_prob"),
+    (_set("reward", "gamma", value=0.99), "reward.gamma"),
+    (_set("obs_mode", value="global"), "obs_mode"),
 ])
 def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path):
     doc = micro_config_dict()
@@ -109,6 +117,42 @@ def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path
     assert rc == 2
     assert f"{path}:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--config", "{bad}", "--out", "{tmp}/out"], 2),
+    (["render-field", "--state", "{bad}", "--out", "{tmp}/x.ppm"], 2),
+    (["eval", "--checkpoint", "{bad}", "--config", "{cfg}"], 3),
+    (["render-field", "--what", "epv", "--epv-grid", "{bad}",
+      "--out", "{tmp}/x.ppm"], 3),
+    (["curve", "--runs", "{bad}", "--out", "{tmp}/c.csv"], 2),
+    (["fit-pass-model", "--events", "{bad}", "--out", "{tmp}/p.json"], 2),
+], ids=["config", "state", "checkpoint", "grid", "metrics", "pass-events"])
+def test_non_utf8_input_exits_and_names_the_file(tmp_path, capsys, argv, code):
+    bad = tmp_path / "input"
+    bad.write_bytes("x,k\ncaf\xe9,1\n".encode("latin-1"))
+    cfg = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    rc = main([a.format(bad=bad, tmp=tmp_path, cfg=cfg) for a in argv])
+    assert rc == code
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "input"]
+
+
+def test_train_on_a_grid_with_a_nan_value_exits_3(tmp_path, capsys):
+    pitch = sim.PitchSpec()
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "version": 1, "length": pitch.length, "width": pitch.width,
+        "goal_half_width": pitch.goal_half_width,
+        "m": pitch.grid_m, "n": pitch.grid_n,
+        "values": [float("nan")] + [0.5] * (pitch.grid_m * pitch.grid_n - 1)}))
+    doc = micro_config_dict()
+    doc["epv_source"] = str(grid)
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    rc = main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"{grid}: values[0]: expected a finite number" in \
+        capsys.readouterr().err
 
 
 def test_insufficient_fit_data_exits_3(tmp_path, capsys):
@@ -416,6 +460,7 @@ def _terminal_with(outcome):
     (_set("rng_state", "state", "inc", value=-1), "rng_state"),
     (_set("rng_state", value=[1, 2]), "rng_state"),
     (_set("scenario", "n_defenders", value="2"), "scenario.n_defenders"),
+    (_set("scenario", "dt", value=0.1), "scenario.dt"),
     (_del("velocities"), "velocities"),
     (_set("ghost", value=1), "ghost"),
 ])

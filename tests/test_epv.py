@@ -248,6 +248,7 @@ def test_grid_roundtrip_exact(tmp_path):
 
 def test_grid_file_errors(tmp_path):
     import json
+    import re
     pitch = PitchSpec()
     good = {
         "version": 1, "length": pitch.length, "width": pitch.width,
@@ -281,6 +282,27 @@ def test_grid_file_errors(tmp_path):
     notjson.write_text("{nope")
     with pytest.raises(epv.FormatError):
         epv.load_epv_grid(str(notjson))
+
+    # each of these names the file and the offending field
+    for i, (change, field) in enumerate([
+            ({"values": [float("nan"), 0.2, 0.3, 0.4]}, "values[0]"),
+            ({"values": [0.1, float("inf"), 0.3, 0.4]}, "values[1]"),
+            ({"values": [0.1, 0.2, True, 0.4]}, "values[2]"),
+            ({"values": [0.1, 0.2, 0.3, "0.4"]}, "values[3]"),
+            ({"length": "105"}, "length"),
+            ({"width": None}, "width"),
+            ({"goal_half_width": 10**400}, "goal_half_width"),
+            ({"m": -32, "n": -20, "values": []}, "m"),
+            ({"n": 0, "values": []}, "n"),
+            ({"m": 2.0}, "m"),
+            ({"n": True}, "n"),
+            ({"m": "2"}, "m"),
+            ({"units": "metres"}, "units"),
+    ]):
+        path = write(dict(good, **change), f"bad{i}.json")
+        with pytest.raises(epv.FormatError,
+                           match="^" + re.escape(f"{path}: {field}: ")):
+            epv.load_epv_grid(path)
 
 
 def test_save_rejects_out_of_range(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pitchlab import reward, sim
-from pitchlab.trainer import ExperimentConfig
+from pitchlab.trainer import EpisodeTally, ExperimentConfig
 from pitchlab.vdn import TrainConfig
 
 
@@ -78,47 +78,46 @@ def test_config_rejects_negative_weight():
         reward.ShapingConfig(weight=-0.1)
 
 
-def test_config_rejects_bad_gamma():
-    with pytest.raises(sim.ConfigError):
-        reward.ShapingConfig(gamma=0.0)
-    with pytest.raises(sim.ConfigError):
-        reward.ShapingConfig(gamma=1.5)
-    reward.ShapingConfig(gamma=1.0)   # closed at the top
-
-
 def test_potential_gamma_must_match_training_gamma():
-    cfg = reward.ShapingConfig(mode=reward.ShapingMode.POTENTIAL_BASED,
-                               weight=0.1, gamma=0.9)
-
-    def experiment(train_gamma):
-        return ExperimentConfig(scenario=sim.ScenarioConfig(), reward=cfg,
-                                train=TrainConfig(gamma=train_gamma))
-
-    with pytest.raises(sim.ConfigError, match="^reward.gamma:"):
-        experiment(0.99)
-    experiment(0.9)
+    # the shaping term has no discount of its own: an episode's tally
+    # discounts the potential with train.gamma
+    shaping = reward.ShapingConfig(mode=reward.ShapingMode.POTENTIAL_BASED,
+                                   weight=0.1)
+    scenario = sim.ScenarioConfig(n_defenders=1, n_attackers=1)
+    for gamma in (0.9, 0.5):
+        cfg = ExperimentConfig(scenario=scenario, reward=shaping,
+                               train=TrainConfig(gamma=gamma))
+        tally = EpisodeTally(cfg, np.full((32, 20), 0.5))
+        st = sim.reset(scenario, 0)
+        tally.start(st)
+        prev = tally.value
+        st, ev = sim.step(st, [0])
+        got = tally.step(st, ev)
+        assert got == reward.potential_shaped(
+            reward.sparse_reward(ev), prev, tally.value, 0.1, gamma)
+        assert got != reward.potential_shaped(
+            reward.sparse_reward(ev), prev, tally.value, 0.1, 0.99)
 
 
 # -- shaped reward ------------------------------------------------------------
 
 def test_zero_weight_is_bitwise_sparse():
     for mode in reward.ShapingMode:
-        cfg = reward.ShapingConfig(mode=mode, weight=0.0, gamma=0.99)
+        cfg = reward.ShapingConfig(mode=mode, weight=0.0)
         for sparse in (-1.0, 0.0, 0.25):
-            assert reward.shaped_reward(cfg, sparse, 5.0, 3.7) == sparse
+            assert reward.shaped_reward(cfg, sparse, 5.0, 3.7, 0.99) == sparse
 
 
 def test_shaper_additive_stream():
-    cfg = reward.ShapingConfig(mode=reward.ShapingMode.ADDITIVE,
-                               weight=0.1, gamma=0.99)
-    assert reward.shaped_reward(cfg, 0.0, 2.0, 3.0) == 0.0 - 0.1 * 3.0
-    assert reward.shaped_reward(cfg, -1.0, 3.0, 2.0) == -1.0 - 0.1 * 2.0
+    cfg = reward.ShapingConfig(mode=reward.ShapingMode.ADDITIVE, weight=0.1)
+    assert reward.shaped_reward(cfg, 0.0, 2.0, 3.0, 0.99) == 0.0 - 0.1 * 3.0
+    assert reward.shaped_reward(cfg, -1.0, 3.0, 2.0, 0.99) == -1.0 - 0.1 * 2.0
 
 
 def test_shaper_potential_uses_previous_value():
     cfg = reward.ShapingConfig(mode=reward.ShapingMode.POTENTIAL_BASED,
-                               weight=1.0, gamma=0.99)
-    first = reward.shaped_reward(cfg, 0.0, 1.0, 0.5)
+                               weight=1.0)
+    first = reward.shaped_reward(cfg, 0.0, 1.0, 0.5, 0.99)
     assert abs(first - (0.99 * -0.5 + 1.0)) < 1e-15
-    second = reward.shaped_reward(cfg, 0.0, 0.5, 0.25)
+    second = reward.shaped_reward(cfg, 0.0, 0.5, 0.25, 0.99)
     assert abs(second - (0.99 * -0.25 + 0.5)) < 1e-15

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -72,9 +73,10 @@ def test_scenario_dict_roundtrip():
         assert list(d) == [f.name for f in dataclasses.fields(ScenarioConfig)]
         assert sim.config_from_dict(ScenarioConfig, d, "scenario") == sc
     # ints given for float fields are stored as floats
-    sc = sim.config_from_dict(ScenarioConfig, {"dt": 1, "pitch": {"width": 60}},
+    sc = sim.config_from_dict(ScenarioConfig,
+                              {"difficulty": 1, "pitch": {"width": 60}},
                               "scenario")
-    assert type(sc.dt) is float and type(sc.pitch.width) is float
+    assert type(sc.difficulty) is float and type(sc.pitch.width) is float
 
 
 def test_scenario_dict_rejects_unknown_field():
@@ -171,15 +173,15 @@ def test_move_actions_follow_compass():
     p0 = st.positions[0].copy()
     sim.step(st, [DefenderAction.MOVE_E.value, STAY])
     moved = st.positions[0] - p0
-    assert moved[0] == pytest.approx(sc.max_speed * sc.dt)
+    assert moved[0] == pytest.approx(sim.MAX_SPEED * sim.DT)
     assert moved[1] == pytest.approx(0.0)
 
     st = sim.reset(sc, 0)
     p1 = st.positions[1].copy()
     sim.step(st, [STAY, DefenderAction.MOVE_SW.value])
     moved = st.positions[1] - p1
-    assert moved[0] == pytest.approx(-sc.max_speed * sc.dt / np.sqrt(2))
-    assert moved[1] == pytest.approx(-sc.max_speed * sc.dt / np.sqrt(2))
+    assert moved[0] == pytest.approx(-sim.MAX_SPEED * sim.DT / np.sqrt(2))
+    assert moved[1] == pytest.approx(-sim.MAX_SPEED * sim.DT / np.sqrt(2))
 
 
 def test_goalkeeper_never_moves():
@@ -497,30 +499,67 @@ def test_terminal_state_roundtrips(tmp_path):
     assert sim.state_digest(loaded) == sim.state_digest(st)
 
 
-def _write_state(path):
+# each writer makes its artifact in directory `d` and returns its path
+
+def _write_state(d):
+    path = os.path.join(d, "state.json")
     sim.save_state(sim.reset(small_scenario(), 0), path)
+    return path
 
 
-def _write_grid(path):
+def _write_grid(d):
     from pitchlab import epv
+    path = os.path.join(d, "grid.json")
     pitch = PitchSpec(grid_m=4, grid_n=3)
     epv.save_epv_grid(path, epv.solve_epv(epv.default_chain(pitch)), pitch)
+    return path
 
 
-def _write_checkpoint(path):
+def _write_checkpoint(d):
     from pitchlab.vdn import LearnerConfig, VDNLearner
+    path = os.path.join(d, "ckpt.json")
     VDNLearner(LearnerConfig(n_agents=2, obs_dim=3, n_actions=2,
                              hidden=(4,)), seed=0).save(path)
+    return path
+
+
+def _write_config(d):
+    # run_training writes the run's config.json before it trains
+    from pitchlab.reward import ShapingConfig
+    from pitchlab.trainer import ExperimentConfig, run_training
+    from pitchlab.vdn import TrainConfig
+    cfg = ExperimentConfig(
+        scenario=small_scenario(max_episode_steps=5),
+        reward=ShapingConfig(weight=0.0),
+        train=TrainConfig(total_steps=4, batch_size=2, buffer_capacity=4,
+                          hidden=(4,), learn_start=2),
+        seeds=(1,), eval_every=4, eval_episodes=1)
+    return os.path.join(run_training(cfg, d), "config.json")
+
+
+def _write_pass_model(d):
+    from pitchlab import cli, pitch_control as pc
+    events, path = os.path.join(d, "events.csv"), os.path.join(d, "fit.json")
+    x, k = pc.sample_pass_events(pc.PassModelParams(), 200,
+                                 np.random.default_rng(0))
+    pc.save_pass_events(events, x, k)
+    cli.main(["fit-pass-model", "--events", events, "--out", path])
+    return path
+
+
+def _files(d):
+    return sorted(os.path.relpath(os.path.join(root, f), d)
+                  for root, _, names in os.walk(d) for f in names)
 
 
 @pytest.mark.parametrize("write", [_write_state, _write_grid,
-                                   _write_checkpoint])
+                                   _write_checkpoint, _write_config,
+                                   _write_pass_model])
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
     import json
-    import os
-    path = tmp_path / "artifact.json"
-    write(str(path))
-    before = path.read_bytes()
+    path = write(str(tmp_path))
+    before = open(path, "rb").read()
+    files = _files(tmp_path)
 
     def dump_half(doc, f, **kw):
         f.write('{"version": 1, "positions": [[0.0')
@@ -528,13 +567,12 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
 
     monkeypatch.setattr(json, "dump", dump_half)
     with pytest.raises(OSError):
-        write(str(path))
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["artifact.json"]
+        write(str(tmp_path))
+    assert open(path, "rb").read() == before
+    assert _files(tmp_path) == files
 
 
 def test_checkpoint_that_fails_to_serialize_keeps_the_previous_file(tmp_path):
-    import os
     from pitchlab.vdn import LearnerConfig, VDNLearner
     learner = VDNLearner(LearnerConfig(n_agents=1, obs_dim=2, n_actions=2,
                                        hidden=(3,)), seed=0)

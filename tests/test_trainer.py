@@ -35,8 +35,7 @@ def tiny_scenario(**kw):
 def tiny_config(total_steps=300, eval_every=100, weight=0.1, seeds=(1,), **kw):
     return ExperimentConfig(
         scenario=tiny_scenario(),
-        reward=ShapingConfig(mode=ShapingMode.ADDITIVE, weight=weight,
-                             gamma=0.99),
+        reward=ShapingConfig(mode=ShapingMode.ADDITIVE, weight=weight),
         train=TrainConfig(total_steps=total_steps, learning_rate=1e-3,
                           batch_size=8, target_sync_period=100,
                           buffer_capacity=512, hidden=(8,),
@@ -72,36 +71,16 @@ def test_eval_seed_stream_is_disjoint_from_train_seed():
 def test_per_agent_observations_global_mode():
     sc = ScenarioConfig(n_defenders=3, n_attackers=2)
     obs = np.arange(sim.observation_length(sc), dtype=float)
-    out = per_agent_observations(sc, obs, "global")
+    out = per_agent_observations(sc, obs)
     assert out.shape == (3, obs.shape[0])
     for a in range(3):
         assert np.array_equal(out[a], obs)
 
 
-def test_per_agent_observations_egocentric_swaps_self_to_front():
-    sc = ScenarioConfig(n_defenders=3, n_attackers=2)
-    P = sc.n_players
-    obs = np.arange(sim.observation_length(sc), dtype=float)
-    out = per_agent_observations(sc, obs, "egocentric")
-    # agent 0 sees the raw vector
-    assert np.array_equal(out[0], obs)
-    # agent 2's own kinematic block moves to slot 0 and vice versa
-    assert np.array_equal(out[2][0:4], obs[8:12])
-    assert np.array_equal(out[2][8:12], obs[0:4])
-    # untouched middle block stays put
-    assert np.array_equal(out[2][4:8], obs[4:8])
-    # carrier one-hot slots swap the same way
-    oh = P * 4 + 4
-    assert out[2][oh] == obs[oh + 2]
-    assert out[2][oh + 2] == obs[oh]
-    # everything past the swapped slots is unchanged
-    assert np.array_equal(out[2][oh + 3:], obs[oh + 3:])
-
-
 # -- experiment config ----------------------------------------------------------------
 
 def test_config_dict_roundtrip():
-    cfg = tiny_config(eval_difficulties=(0.95, 0.5), obs_mode="egocentric")
+    cfg = tiny_config(eval_difficulties=(0.95, 0.5), field_stride=3)
     doc = sim.config_to_dict(cfg)
     # config.json carries the dict through JSON text
     for d in (doc, json.loads(json.dumps(doc))):
@@ -115,8 +94,8 @@ def test_config_hash_of_shipped_configs_is_pinned():
     # the hash names the run directory, run-<hash>
     configs = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "configs")
-    for name, expected in (("desk_2v3", "473aa9d561b1"),
-                           ("full_4v6", "e878f69a9231")):
+    for name, expected in (("desk_2v3", "adab74cde958"),
+                           ("full_4v6", "3169eb662725")):
         cfg = cli.load_experiment(os.path.join(configs, f"{name}.yaml"))
         assert cfg.config_hash() == expected
 
@@ -161,8 +140,6 @@ def test_config_validation():
         tiny_config(seeds=())
     with pytest.raises(ConfigError, match="seeds"):
         tiny_config(seeds=(1, 1))
-    with pytest.raises(ConfigError):
-        tiny_config(obs_mode="first_person")
     with pytest.raises(ConfigError):
         tiny_config(eval_difficulties=(1.5,))
 
@@ -268,7 +245,7 @@ def test_value_probe_holds_between_strides():
 def test_potential_shaping_uses_the_held_values():
     cfg = tiny_config(field_stride=3)
     cfg = replace(cfg, reward=ShapingConfig(mode=ShapingMode.POTENTIAL_BASED,
-                                            weight=0.5, gamma=cfg.train.gamma))
+                                            weight=0.5))
     tally = trainer.EpisodeTally(cfg, trainer._load_epv_values(cfg))
     st = sim.reset(cfg.scenario, 0)
     tally.start(st)
@@ -377,23 +354,6 @@ def test_failed_seed_writes_error_row(tmp_path, monkeypatch):
     assert rows == [{"kind": "error", "seed": 1,
                      "error": "ValueIterationError",
                      "message": "forced for the test"}]
-
-
-def test_egocentric_mode_trains(tmp_path):
-    cfg = ExperimentConfig(
-        scenario=ScenarioConfig(n_defenders=2, n_attackers=1, difficulty=0.95,
-                                max_episode_steps=30),
-        reward=ShapingConfig(mode=ShapingMode.ADDITIVE, weight=0.1, gamma=0.99),
-        train=TrainConfig(total_steps=100, batch_size=8, learn_start=8,
-                          buffer_capacity=128, hidden=(8,)),
-        seeds=(1,),
-        eval_every=100,
-        eval_episodes=1,
-        obs_mode="egocentric",
-    )
-    run_dir = run_training(cfg, str(tmp_path))
-    rows = load_metrics(os.path.join(run_dir, "seed-1", "metrics.jsonl"))
-    assert any(r["kind"] == "eval" and r["final"] for r in rows)
 
 
 # -- learning curves ---------------------------------------------------------------------
