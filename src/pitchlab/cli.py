@@ -177,7 +177,7 @@ def _cmd_replay(args) -> int:
         scenario = replace(scenario, difficulty=args.difficulty)
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(scenario, args.seed)
-    with open(args.out, "w") as f:
+    with sim.open_atomic(args.out) as f:
         for _, actions, events, _ in trainer_mod.rollout(
                 state, learner.greedy_actions):
             row = sim.snapshot(state)
@@ -185,8 +185,8 @@ def _cmd_replay(args) -> int:
             row["events"] = {k: getattr(events, k) for k in (
                 "goal", "out_of_bounds", "turnover", "tackle", "foul")}
             f.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"{args.out}: {state.step_index} steps, "
-              f"outcome {state.outcome.kind.value}")
+    print(f"{args.out}: {state.step_index} steps, "
+          f"outcome {state.outcome.kind.value}")
     return 0
 
 

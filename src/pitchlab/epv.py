@@ -207,8 +207,9 @@ def load_epv_grid(path: str, pitch: PitchSpec | None = None
     Raises FormatError naming the file and the field on invalid JSON, a
     wrong version, a missing or unknown key, `m` or `n` not a positive int,
     geometry that is not a finite number, or `values` that are not m*n
-    finite numbers in [0, 1]; DimensionMismatchError when a given `pitch`
-    has another grid shape.
+    finite numbers in [0, 1]; DimensionMismatchError naming the file and
+    the field when a given `pitch` has another grid shape, length, width
+    or goal half-width.
     """
     try:
         doc = json.loads(read_text(path, FormatError))
@@ -247,10 +248,15 @@ def load_epv_grid(path: str, pitch: PitchSpec | None = None
     arr = np.array(flat, dtype=float).reshape(m, n)
     if np.any(arr < 0) or np.any(arr > 1):
         raise FormatError(f"{path}: values outside [0, 1]")
-    if pitch is not None and arr.shape != (pitch.grid_m, pitch.grid_n):
-        raise DimensionMismatchError(
-            f"{path}: grid {arr.shape} does not match pitch grid "
-            f"{(pitch.grid_m, pitch.grid_n)}")
-    geom = {"length": doc["length"], "width": doc["width"],
-            "goal_half_width": doc["goal_half_width"]}
+    geom = {key: doc[key] for key in ("length", "width", "goal_half_width")}
+    if pitch is not None:
+        if arr.shape != (pitch.grid_m, pitch.grid_n):
+            raise DimensionMismatchError(
+                f"{path}: grid {arr.shape} does not match pitch grid "
+                f"{(pitch.grid_m, pitch.grid_n)}")
+        for key, value in geom.items():
+            if value != getattr(pitch, key):
+                raise DimensionMismatchError(
+                    f"{path}: {key}: grid solved for {value!r}, pitch has "
+                    f"{getattr(pitch, key)!r}")
     return arr, geom

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import ConfigError, GameState, PlayerState, read_text
+from .sim import (ConfigError, GameState, PlayerState, open_atomic,
+                  read_text)
 
 # logistic(36) is the largest float64 strictly below 1; clamping there keeps
 # outputs inside the open interval (0, 1) for arbitrarily extreme inputs
@@ -185,7 +186,7 @@ def load_pass_events(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_pass_events(path: str, x: np.ndarray, k: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
+    with open_atomic(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["x", "k"])
         for xi, ki in zip(x, k):

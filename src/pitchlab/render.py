@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import GameState, PitchSpec
+from .sim import GameState, PitchSpec, open_atomic
 
 CELL_PX = 24
 MARGIN_PX = 12
@@ -181,6 +181,6 @@ def write_ppm(path: str, img: np.ndarray) -> None:
     if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("image must be an (H, W, 3) uint8 array")
     h, w, _ = img.shape
-    with open(path, "wb") as f:
+    with open_atomic(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(img.tobytes())

@@ -13,6 +13,7 @@ import math
 import os
 import threading
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -836,18 +837,26 @@ def read_text(path: str, error: type[Exception] = ConfigError) -> str:
                     f"{e.start})") from None
 
 
-def write_json_atomic(path: str, doc, **dump_kw) -> None:
-    """json.dump `doc` (with `dump_kw`) to a temporary file beside `path`,
-    then os.replace it over `path`, so a write that fails midway leaves the
-    old file intact."""
+@contextmanager
+def open_atomic(path: str, mode: str = "w", **open_kw):
+    """A file opened (with `mode` and `open_kw`) as a temporary beside
+    `path`, which os.replace moves over `path` when the block ends without
+    an exception; otherwise the temporary is removed, so a write that fails
+    midway leaves the old file intact."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w") as f:
-            json.dump(doc, f, **dump_kw)
+        with open(tmp, mode, **open_kw) as f:
+            yield f
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json_atomic(path: str, doc, **dump_kw) -> None:
+    """json.dump `doc` (with `dump_kw`) to `path` through open_atomic."""
+    with open_atomic(path) as f:
+        json.dump(doc, f, **dump_kw)
 
 
 def save_state(state: GameState, path: str) -> None:

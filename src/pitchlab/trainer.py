@@ -238,15 +238,16 @@ def _write_eval_block(f, learner: VDNLearner, config: ExperimentConfig,
         }))
 
 
-def train_seed(config: ExperimentConfig, seed: int, seed_dir: str) -> None:
-    """Full training loop for one seed, logging to seed_dir/metrics.jsonl."""
+def train_seed(config: ExperimentConfig, seed: int, seed_dir: str,
+               epv_values: np.ndarray | None) -> None:
+    """Full training loop for one seed, logging to seed_dir/metrics.jsonl.
+    `epv_values` is the config's EPV grid, None at weight 0."""
     os.makedirs(seed_dir, exist_ok=True)
     scenario = config.scenario
     train = config.train
     obs_dim = sim.observation_length(scenario)
     lcfg = train.learner_config(scenario.n_defenders, obs_dim, sim.N_ACTIONS)
     learner = VDNLearner(lcfg, seed)
-    epv_values = _load_epv_values(config)
     tally = EpisodeTally(config, epv_values)
     buffer = ReplayBuffer(train.buffer_capacity, scenario.n_defenders, obs_dim)
     action_rng = np.random.default_rng(
@@ -301,9 +302,16 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
                  jobs: int = 1) -> str:
     """Trains every seed in the config; returns the run directory.
 
-    A seed whose optimisation raises a non-convergence error is recorded
-    and skipped; remaining seeds still run.
+    A shaped config's EPV grid is solved or read once, before the run
+    directory is made, so a grid file that fails to load leaves no
+    directory behind.  A non-convergence error, in the grid's solve or in
+    a seed's optimisation, is recorded in each seed it stops; remaining
+    seeds still run.
     """
+    try:
+        epv_values, unsolved = _load_epv_values(config), None
+    except epv_mod.ValueIterationError as e:
+        epv_values, unsolved = None, e
     run_dir = os.path.join(out_dir, f"run-{config.config_hash()}")
     os.makedirs(run_dir, exist_ok=True)
     sim.write_json_atomic(os.path.join(run_dir, "config.json"),
@@ -311,13 +319,18 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
 
     def one(seed: int) -> None:
         seed_dir = os.path.join(run_dir, f"seed-{seed}")
-        try:
-            train_seed(config, seed, seed_dir)
-        except (pc.NonConvergenceError, epv_mod.ValueIterationError) as e:
+        error = unsolved
+        if error is None:
+            try:
+                train_seed(config, seed, seed_dir, epv_values)
+            except (pc.NonConvergenceError, epv_mod.ValueIterationError) as e:
+                error = e
+        if error is not None:
             os.makedirs(seed_dir, exist_ok=True)
             with open(os.path.join(seed_dir, "metrics.jsonl"), "a") as f:
                 f.write(_jsonl({"kind": "error", "seed": seed,
-                                "error": type(e).__name__, "message": str(e)}))
+                                "error": type(error).__name__,
+                                "message": str(error)}))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -385,7 +398,7 @@ def learning_curve(metrics_paths: list[str],
 
 
 def write_curve_csv(path: str, rows: list[tuple[int, float, float, float]]) -> None:
-    with open(path, "w") as f:
+    with sim.open_atomic(path) as f:
         f.write("step,median,q25,q75\n")
         for step, med, q25, q75 in rows:
             f.write(f"{step},{med!r},{q25!r},{q75!r}\n")

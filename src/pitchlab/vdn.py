@@ -230,16 +230,23 @@ def batch_from_transitions(transitions: list[Transition]) -> TransitionBatch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer over preallocated arrays."""
+    """Fixed-capacity ring buffer over preallocated arrays.
+
+    Every agent sees the same observation, so a step stores it once: `obs`
+    and `next_obs` are (capacity, obs_dim).  `add` takes per-agent
+    (n_agents, obs_dim) arrays and raises ShapeMismatchError unless their
+    rows are bit-identical.  `sample` hands each agent its own contiguous
+    copy, (B, n_agents, obs_dim), as a per-agent buffer would."""
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, n_agents, obs_dim))
+        self.n_agents = n_agents
+        self.obs = np.zeros((capacity, obs_dim))
         self.actions = np.zeros((capacity, n_agents), dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, n_agents, obs_dim))
+        self.next_obs = np.zeros((capacity, obs_dim))
         self.terminals = np.zeros(capacity)
         self._next = 0
         self._size = 0
@@ -247,13 +254,27 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
+    def _shared_row(self, obs: np.ndarray, name: str) -> np.ndarray:
+        obs = np.asarray(obs, dtype=float)
+        if obs.shape != (self.n_agents, self.obs.shape[1]):
+            raise ShapeMismatchError(
+                f"{name}: expected shape {(self.n_agents, self.obs.shape[1])}, "
+                f"got {obs.shape}")
+        if obs.tobytes() != obs[0].tobytes() * self.n_agents:
+            raise ShapeMismatchError(
+                f"{name}: the agents' observation rows differ; the buffer "
+                f"stores one row shared by all agents")
+        return obs[0]
+
     def add(self, obs: np.ndarray, actions: np.ndarray, reward: float,
             next_obs: np.ndarray, terminal: bool) -> None:
+        row = self._shared_row(obs, "obs")   # both checked before a write
+        next_row = self._shared_row(next_obs, "next_obs")
         i = self._next
-        self.obs[i] = obs
+        self.obs[i] = row
         self.actions[i] = actions
         self.rewards[i] = reward
-        self.next_obs[i] = next_obs
+        self.next_obs[i] = next_row
         self.terminals[i] = float(terminal)
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -263,9 +284,12 @@ class ReplayBuffer:
             raise ValueError(
                 f"batch size {batch_size} exceeds buffer size {self._size}")
         idx = rng.integers(0, self._size, size=batch_size)
+        # per-agent copies, not broadcast views: td_update then multiplies
+        # the same contiguous bytes a per-agent buffer would hand it
         return TransitionBatch(
-            obs=self.obs[idx], actions=self.actions[idx],
-            rewards=self.rewards[idx], next_obs=self.next_obs[idx],
+            obs=np.repeat(self.obs[idx, None], self.n_agents, axis=1),
+            actions=self.actions[idx], rewards=self.rewards[idx],
+            next_obs=np.repeat(self.next_obs[idx, None], self.n_agents, axis=1),
             terminals=self.terminals[idx],
         )
 

@@ -12,7 +12,7 @@ from pitchlab.cli import main
 from pitchlab.reward import ShapingConfig, ShapingMode
 from pitchlab.sim import ScenarioConfig
 from pitchlab.trainer import ExperimentConfig
-from pitchlab.vdn import TrainConfig, VDNLearner
+from pitchlab.vdn import LearnerConfig, TrainConfig, VDNLearner
 
 
 def micro_config_dict(weight=0.1, seeds=(1,)):
@@ -153,6 +153,36 @@ def test_train_on_a_grid_with_a_nan_value_exits_3(tmp_path, capsys):
     assert rc == 3
     assert f"{grid}: values[0]: expected a finite number" in \
         capsys.readouterr().err
+
+
+def _grid_doc(pitch, **changes):
+    values = epv.solve_epv(epv.default_chain(pitch))
+    doc = {"version": 1, "length": pitch.length, "width": pitch.width,
+           "goal_half_width": pitch.goal_half_width,
+           "m": pitch.grid_m, "n": pitch.grid_n,
+           "values": values.ravel().tolist()}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("pitch, changes, message", [
+    (sim.PitchSpec(), {"values": [0.5]}, "values: expected 640 values"),
+    (sim.PitchSpec(), {"values": ["x"] + [0.5] * 639},
+     "values[0]: expected a finite number"),
+    (sim.PitchSpec(length=60.0, width=40.0), {},
+     "length: grid solved for 60.0, pitch has 105.0"),
+], ids=["short", "string-value", "other-pitch"])
+def test_train_on_a_bad_grid_exits_3_and_makes_no_run_directory(
+        tmp_path, capsys, pitch, changes, message):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(_grid_doc(pitch, **changes)))
+    doc = micro_config_dict()
+    doc["epv_source"] = str(grid_path)
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    rc = main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"{grid_path}: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "grid.json"]
 
 
 def test_insufficient_fit_data_exits_3(tmp_path, capsys):
@@ -361,6 +391,34 @@ def test_render_overlay_with_mismatched_grid_exits_3(tmp_path, capsys):
                "--epv-grid", str(grid_path), "--out", str(tmp_path / "x.ppm")])
     assert rc == 3
     assert "DimensionMismatchError" in capsys.readouterr().err
+
+
+def test_render_with_a_grid_for_another_pitch_exits_3(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(_grid_doc(sim.PitchSpec(width=40.0))))
+    rc = main(["render-field", "--what", "epv", "--epv-grid", str(grid_path),
+               "--out", str(tmp_path / "x.ppm")])
+    assert rc == 3
+    assert f"{grid_path}: width: grid solved for 40.0, pitch has 68.0" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["grid.json"]
+
+
+def test_replay_with_a_checkpoint_that_does_not_fit_keeps_the_old_file(
+        tmp_path, capsys):
+    cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    ckpt = str(tmp_path / "ckpt.json")   # two agents; the config has one
+    VDNLearner(LearnerConfig(n_agents=2, obs_dim=3, n_actions=sim.N_ACTIONS,
+                             hidden=(4,)), seed=0).save(ckpt)
+    out = tmp_path / "episode.jsonl"
+    out.write_text("a previous episode\n")
+    rc = main(["replay", "--checkpoint", ckpt, "--config", cfg_path,
+               "--out", str(out)])
+    assert rc == 3
+    assert "ShapeMismatchError" in capsys.readouterr().err
+    assert out.read_text() == "a previous episode\n"
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "config.yaml",
+                                            "episode.jsonl"]
 
 
 def test_render_without_state_or_checkpoint_exits_2(tmp_path, capsys):

@@ -523,18 +523,22 @@ def _write_checkpoint(d):
     return path
 
 
-def _write_config(d):
-    # run_training writes the run's config.json before it trains
+def _tiny_experiment():
     from pitchlab.reward import ShapingConfig
-    from pitchlab.trainer import ExperimentConfig, run_training
+    from pitchlab.trainer import ExperimentConfig
     from pitchlab.vdn import TrainConfig
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         scenario=small_scenario(max_episode_steps=5),
         reward=ShapingConfig(weight=0.0),
         train=TrainConfig(total_steps=4, batch_size=2, buffer_capacity=4,
                           hidden=(4,), learn_start=2),
         seeds=(1,), eval_every=4, eval_episodes=1)
-    return os.path.join(run_training(cfg, d), "config.json")
+
+
+def _write_config(d):
+    # run_training writes the run's config.json before it trains
+    from pitchlab.trainer import run_training
+    return os.path.join(run_training(_tiny_experiment(), d), "config.json")
 
 
 def _write_pass_model(d):
@@ -547,25 +551,93 @@ def _write_pass_model(d):
     return path
 
 
+def _write_pass_events(d):
+    from pitchlab import pitch_control as pc
+    path = os.path.join(d, "events.csv")
+    x, k = pc.sample_pass_events(pc.PassModelParams(), 20,
+                                 np.random.default_rng(0))
+    pc.save_pass_events(path, x, k)
+    return path
+
+
+def _write_curve(d):
+    from pitchlab.trainer import write_curve_csv
+    path = os.path.join(d, "curve.csv")
+    write_curve_csv(path, [(0, -0.5, -1.0, 0.0), (100, 0.25, 0.0, 0.5)])
+    return path
+
+
+def _write_image(d):
+    from pitchlab import render
+    path = os.path.join(d, "field.ppm")
+    render.write_ppm(path, np.full((3, 4, 3), 7, dtype=np.uint8))
+    return path
+
+
+def _write_replay(d):
+    import yaml
+    from pitchlab import cli
+    from pitchlab.vdn import VDNLearner
+    cfg = _tiny_experiment()
+    cfg_path, ckpt = os.path.join(d, "config.yaml"), os.path.join(d, "ckpt.json")
+    path = os.path.join(d, "replay.jsonl")
+    with open(cfg_path, "w") as f:
+        yaml.safe_dump(sim.config_to_dict(cfg), f)
+    obs_dim = sim.observation_length(cfg.scenario)
+    VDNLearner(cfg.train.learner_config(cfg.scenario.n_defenders, obs_dim,
+                                        sim.N_ACTIONS), seed=0).save(ckpt)
+    cli.main(["replay", "--checkpoint", ckpt, "--config", cfg_path,
+              "--out", path])
+    return path
+
+
 def _files(d):
     return sorted(os.path.relpath(os.path.join(root, f), d)
                   for root, _, names in os.walk(d) for f in names)
 
 
+class _HalfWritten:
+    """A file that takes half of the first write it is given, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
 @pytest.mark.parametrize("write", [_write_state, _write_grid,
                                    _write_checkpoint, _write_config,
-                                   _write_pass_model])
+                                   _write_pass_model, _write_pass_events,
+                                   _write_curve, _write_image, _write_replay])
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
-    import json
+    import builtins
     path = write(str(tmp_path))
     before = open(path, "rb").read()
     files = _files(tmp_path)
 
-    def dump_half(doc, f, **kw):
-        f.write('{"version": 1, "positions": [[0.0')
-        raise OSError("disk full")
+    # any file opened for writing whose name starts with the artifact's
+    # (the artifact itself, or a temporary beside it) fails midway
+    real_open = builtins.open
 
-    monkeypatch.setattr(json, "dump", dump_half)
+    def open_failing(file, mode="r", *args, **kw):
+        f = real_open(file, mode, *args, **kw)
+        if "w" in mode and os.path.basename(str(file)).startswith(
+                os.path.basename(path)):
+            return _HalfWritten(f)
+        return f
+
+    monkeypatch.setattr(builtins, "open", open_failing)
     with pytest.raises(OSError):
         write(str(tmp_path))
     assert open(path, "rb").read() == before

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -162,13 +163,18 @@ def test_epv_values_load_from_grid_file(tmp_path):
 
 
 def test_epv_grid_shape_mismatch_is_rejected(tmp_path):
-    cfg = tiny_config()
-    small = sim.PitchSpec(grid_m=4, grid_n=3)
-    values = epv.solve_epv(epv.default_chain(small))
-    path = tmp_path / "grid.json"
-    epv.save_epv_grid(str(path), values, small)
-    with pytest.raises(epv.DimensionMismatchError):
-        trainer._load_epv_values(tiny_config(epv_source=str(path)))
+    # each grid is solved for its own pitch; the scenario plays on the default
+    for grid_pitch, field in [
+            (sim.PitchSpec(grid_m=4, grid_n=3), "grid"),
+            (sim.PitchSpec(length=60.0, width=40.0), "length"),
+            (sim.PitchSpec(width=40.0), "width"),
+            (sim.PitchSpec(goal_half_width=3.0), "goal_half_width")]:
+        values = epv.solve_epv(epv.default_chain(grid_pitch))
+        path = tmp_path / f"{field}.json"
+        epv.save_epv_grid(str(path), values, grid_pitch)
+        with pytest.raises(epv.DimensionMismatchError,
+                           match=f"^{re.escape(str(path))}: {field}"):
+            trainer._load_epv_values(tiny_config(epv_source=str(path)))
 
 
 # -- evaluation --------------------------------------------------------------------------
@@ -341,7 +347,7 @@ def test_shaped_seed_solves_the_epv_grid_once(tmp_path, monkeypatch):
     cfg = tiny_config(total_steps=100, eval_every=50, seeds=(1, 2),
                       eval_difficulties=(0.95, 0.6, 0.05))
     run_training(cfg, str(tmp_path))
-    assert len(calls) == 2
+    assert len(calls) == 1   # once per run, shared by both seeds
 
 
 def test_failed_seed_writes_error_row(tmp_path, monkeypatch):

@@ -528,6 +528,90 @@ def test_buffer_sample_shapes_and_guard():
         buf.sample(6, rng)
 
 
+class PerAgentBuffer:
+    """The reference: every agent's observation row stored separately."""
+
+    def __init__(self, capacity, n_agents, obs_dim):
+        self.capacity, self.size, self.next = capacity, 0, 0
+        self.obs = np.zeros((capacity, n_agents, obs_dim))
+        self.actions = np.zeros((capacity, n_agents), dtype=np.int64)
+        self.rewards = np.zeros(capacity)
+        self.next_obs = np.zeros((capacity, n_agents, obs_dim))
+        self.terminals = np.zeros(capacity)
+
+    def add(self, obs, actions, reward, next_obs, terminal):
+        i = self.next
+        self.obs[i], self.actions[i], self.rewards[i] = obs, actions, reward
+        self.next_obs[i], self.terminals[i] = next_obs, float(terminal)
+        self.next = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, self.size, size=batch_size)
+        return (self.obs[idx], self.actions[idx], self.rewards[idx],
+                self.next_obs[idx], self.terminals[idx])
+
+
+def _shared_steps(n, n_agents, obs_dim, seed=0):
+    rng = np.random.default_rng(seed)
+    for t in range(n):
+        yield (np.tile(rng.normal(size=obs_dim), (n_agents, 1)),
+               rng.integers(0, 5, size=n_agents), float(rng.normal()),
+               np.tile(rng.normal(size=obs_dim), (n_agents, 1)), t % 7 == 6)
+
+
+def test_buffer_samples_equal_a_per_agent_buffer_after_wrap():
+    buf, ref = ReplayBuffer(50, 4, 6), PerAgentBuffer(50, 4, 6)
+    for step in _shared_steps(137, 4, 6):
+        buf.add(*step)
+        ref.add(*step)
+    assert len(buf) == ref.size == 50
+    # the one stored row is the row every agent saw
+    assert np.array_equal(buf.obs, ref.obs[:, 0])
+    assert np.array_equal(buf.next_obs, ref.next_obs[:, 0])
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for batch_size in (1, 32, 50):
+        batch = buf.sample(batch_size, rng)
+        expected = ref.sample(batch_size, ref_rng)
+        for got, want in zip((batch.obs, batch.actions, batch.rewards,
+                              batch.next_obs, batch.terminals), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def test_buffer_add_rejects_differing_agent_rows():
+    buf = ReplayBuffer(3, 2, 4)
+    for step in _shared_steps(5, 2, 4):
+        buf.add(*step)
+    stored = [a.copy() for a in (buf.obs, buf.actions, buf.rewards,
+                                 buf.next_obs, buf.terminals)]
+    same = np.tile(np.arange(4.0), (2, 1))
+    differ = same.copy()
+    differ[1, 2] += 1e-12
+    signed = np.zeros((2, 4))
+    signed[1, 0] = -0.0            # equal as numbers, not as bits
+    for bad in (differ, signed):
+        with pytest.raises(ShapeMismatchError, match="^obs:"):
+            buf.add(bad, np.array([0, 1]), 0.0, same, False)
+        with pytest.raises(ShapeMismatchError, match="^next_obs:"):
+            buf.add(same, np.array([0, 1]), 0.0, bad, False)
+    with pytest.raises(ShapeMismatchError, match="^obs:"):
+        buf.add(np.arange(4.0), np.array([0, 1]), 0.0, same, False)
+    # a rejected step leaves every slot of the full buffer as it was
+    assert len(buf) == 3
+    for before, after in zip(stored, (buf.obs, buf.actions, buf.rewards,
+                                      buf.next_obs, buf.terminals)):
+        assert np.array_equal(before, after)
+
+
+def test_buffer_stores_one_observation_row_per_step():
+    buf = ReplayBuffer(capacity=100, n_agents=4, obs_dim=118)
+    for arr in (buf.obs, buf.next_obs):
+        assert arr.shape == (100, 118)
+        assert arr.nbytes == 100 * 118 * 8
+
+
 def test_buffer_rejects_zero_capacity():
     with pytest.raises(ConfigError):
         ReplayBuffer(capacity=0, n_agents=1, obs_dim=1)
