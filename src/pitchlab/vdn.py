@@ -15,7 +15,9 @@ differentiable everywhere, which finite-difference gradient checks rely on.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +203,16 @@ def _backward(params: QNetwork, cache: list, dout: np.ndarray) -> QNetwork:
     return QNetwork(gw, gb)
 
 
+def grad_norm(grads: QNetwork) -> float:
+    """Global L2 norm of stacked gradients.  Each array's squares are
+    summed per agent, and those sums are added as a float in agent-major,
+    array-by-array order, as a loop over per-agent networks adds them."""
+    arrays = (*grads.weights, *grads.biases)
+    n_agents = arrays[0].shape[0]
+    per_array = [(g * g).reshape(n_agents, -1).sum(axis=1) for g in arrays]
+    return math.sqrt(sum(np.stack(per_array, axis=1).ravel().tolist()))
+
+
 @dataclass
 class Transition:
     obs: np.ndarray        # (n_agents, obs_dim)
@@ -292,6 +304,23 @@ class ReplayBuffer:
             next_obs=np.repeat(self.next_obs[idx, None], self.n_agents, axis=1),
             terminals=self.terminals[idx],
         )
+
+
+def _encode_array(a: np.ndarray) -> str:
+    return base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode_array(text, shape: list[int]) -> np.ndarray:
+    """A version-2 array: base64 of exactly prod(shape) little-endian
+    float64 values.  Raises ValueError (binascii.Error is one) or
+    TypeError when it is not."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def _list_array(values, shape: list[int]) -> np.ndarray:
+    """A version-1 array: a list of floats, row-major."""
+    return np.array(values, dtype=float).reshape(shape)
 
 
 class VDNLearner:
@@ -394,10 +423,7 @@ class VDNLearner:
     def td_update(self, batch: TransitionBatch | list[Transition]) -> float:
         """One SGD step under the global gradient-norm clip; returns the loss."""
         loss, grads = self.td_grads(batch)
-        # squares summed per agent and per array, agent by agent
-        norm = np.sqrt(sum([float(np.sum(g * g))
-                            for a in range(self.config.n_agents)
-                            for g in (*grads[a].weights, *grads[a].biases)]))
+        norm = grad_norm(grads)
         scale = self.config.grad_clip / norm if norm > self.config.grad_clip else 1.0
         lr = self.config.lr
         for p, g in zip((*self.online.weights, *self.online.biases),
@@ -412,15 +438,17 @@ class VDNLearner:
     # -- checkpoints --------------------------------------------------------------
 
     def save(self, path: str, extra: dict | None = None) -> None:
-        """Atomic JSON checkpoint; floats round-trip exactly through repr."""
+        """Atomic JSON checkpoint, version 2: each weight and bias array is
+        base64 of its little-endian float64 bytes, so it round-trips
+        exactly."""
         def dump_params(params: QNetwork) -> dict:
             return {
                 "layer_shapes": [list(w.shape) for w in params.weights],
-                "weights": [w.ravel().tolist() for w in params.weights],
-                "biases": [b.tolist() for b in params.biases],
+                "weights": [_encode_array(w) for w in params.weights],
+                "biases": [_encode_array(b) for b in params.biases],
             }
         doc = {
-            "version": 1,
+            "version": 2,
             "train_step": self.train_step,
             "config": config_to_dict(self.config),
             "agents": [dump_params(p) for p in self.agents],
@@ -437,14 +465,18 @@ class VDNLearner:
         must be a non-negative int, there must be `n_agents` agent and
         target networks, each with layer shapes equal to the
         [obs_dim, *hidden, n_actions] pairs, and every weight and bias
-        must be finite.  Any violation raises CheckpointFormatError naming
-        the file and the field."""
+        must be finite.  Version 1, which wrote each array as a list of
+        floats, still loads; version 2 arrays must be valid base64 of
+        exactly the float64 bytes their shape needs.  Any violation raises
+        CheckpointFormatError naming the file and the field."""
         try:
             doc = json.loads(read_text(path, CheckpointFormatError))
         except json.JSONDecodeError as e:
             raise CheckpointFormatError(f"{path}: not valid JSON ({e})") from e
-        if not isinstance(doc, dict) or doc.get("version") != 1:
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if type(version) is not int or version not in (1, 2):
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version")
+        decode = _decode_array if version == 2 else _list_array
         for key in ("train_step", "config", "agents", "targets"):
             if key not in doc:
                 raise CheckpointFormatError(f"{path}: missing key '{key}'")
@@ -467,9 +499,9 @@ class VDNLearner:
                 raise CheckpointFormatError(
                     f"{path}: {where}.layer_shapes: expected {shapes} from config")
             try:
-                ws = [np.array(w, dtype=float).reshape(s)
+                ws = [decode(w, s)
                       for w, s in zip(d["weights"], shapes, strict=True)]
-                bs = [np.array(b, dtype=float).reshape(s[1])
+                bs = [decode(b, s[1:])
                       for b, s in zip(d["biases"], shapes, strict=True)]
             except (KeyError, TypeError, ValueError) as e:
                 raise CheckpointFormatError(f"{path}: {where}: {e}") from None
@@ -487,3 +519,4 @@ class VDNLearner:
                 [load_params(d, f"{key}[{a}]") for a, d in enumerate(nets)]))
         learner.train_step = step
         return learner
+

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from pitchlab import vdn
-from pitchlab.sim import ConfigError
+from pitchlab.sim import ConfigError, config_to_dict
 from pitchlab.vdn import (
     CheckpointFormatError,
     LearnerConfig,
@@ -371,6 +372,25 @@ def test_stacked_learner_is_bit_identical_to_per_agent_loop():
     assert clipped
 
 
+def test_grad_norm_matches_the_per_agent_loop_bit_for_bit():
+    # the clip scale divides by this norm, so its float sum must keep the
+    # per-agent loop's order: agent by agent, array by array
+    cfg = LearnerConfig(n_agents=4, obs_dim=7, n_actions=5, hidden=(9, 6),
+                        lr=0.01, grad_clip=1.0)
+    learner = VDNLearner(cfg, seed=21)
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        batch = random_batch(cfg, rng, size=16, terminal_frac=0.2)
+        batch.rewards *= 10.0 ** rng.uniform(-3, 3)
+        _, grads = learner.td_grads(batch)
+        sq = 0.0
+        for a in range(cfg.n_agents):
+            for arr in (*grads[a].weights, *grads[a].biases):
+                sq += float(np.sum(arr * arr))
+        assert vdn.grad_norm(grads) == np.sqrt(sq)
+        learner.td_update(batch)
+
+
 # -- action selection ------------------------------------------------------------
 
 def test_greedy_ties_break_to_lowest_index():
@@ -619,6 +639,18 @@ def test_buffer_rejects_zero_capacity():
 
 # -- checkpoints ---------------------------------------------------------------------
 
+def v1_document(learner):
+    """The version-1 layout: every array a list of floats."""
+    def params(net):
+        return {"layer_shapes": [list(w.shape) for w in net.weights],
+                "weights": [w.ravel().tolist() for w in net.weights],
+                "biases": [b.tolist() for b in net.biases]}
+    return {"version": 1, "train_step": learner.train_step,
+            "config": config_to_dict(learner.config),
+            "agents": [params(net) for net in learner.agents],
+            "targets": [params(net) for net in learner.targets]}
+
+
 def test_checkpoint_roundtrip_is_exact(tmp_path):
     cfg = tiny_config(n_agents=2, obs_dim=4, n_actions=3, hidden=(6, 5))
     learner = VDNLearner(cfg, seed=17)
@@ -634,6 +666,26 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert nets_equal(loaded.targets, learner.targets)
     obs = np.random.default_rng(10).normal(size=(cfg.n_agents, cfg.obs_dim))
     assert np.array_equal(loaded.q_values(obs), learner.q_values(obs))
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    raw = base64.b64decode(doc["targets"][1]["weights"][1], validate=True)
+    assert raw == learner.targets[1].weights[1].astype("<f8").tobytes()
+
+
+def test_checkpoint_version_1_still_loads_bit_exact(tmp_path):
+    cfg = tiny_config(n_agents=2, obs_dim=4, n_actions=3, hidden=(6, 5))
+    learner = VDNLearner(cfg, seed=17)
+    batch = random_batch(cfg, np.random.default_rng(9), size=4)
+    for _ in range(3):
+        learner.td_update(batch)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(v1_document(learner)))
+    loaded = VDNLearner.load(str(path))
+    assert loaded.config == cfg
+    assert loaded.train_step == 3
+    assert nets_equal(loaded.agents, learner.agents)
+    assert nets_equal(loaded.targets, learner.targets)
+    assert not nets_equal(loaded.agents, loaded.targets)
 
 
 def test_checkpoint_preserves_distinct_target(tmp_path):
@@ -659,10 +711,11 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     path = tmp_path / "ckpt.json"
     learner.save(str(path))
     doc = json.loads(path.read_text())
-    doc["version"] = 2
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointFormatError):
-        VDNLearner.load(str(path))
+    for version in (3, 0, "2", True, None):
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointFormatError, match="version"):
+            VDNLearner.load(str(path))
 
 
 def test_checkpoint_rejects_missing_key(tmp_path):
@@ -683,7 +736,7 @@ def test_checkpoint_rejects_truncated_weights(tmp_path):
     path = tmp_path / "ckpt.json"
     learner.save(str(path))
     doc = json.loads(path.read_text())
-    doc["agents"][0]["weights"][0] = doc["agents"][0]["weights"][0][:-1]
+    _drop_last_float("agents", 0, "weights", 0)(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointFormatError):
         VDNLearner.load(str(path))
@@ -705,6 +758,60 @@ def _set(*keys, value):
     return mutate
 
 
+def _edit_array(*keys, edit):
+    """Decode the base64 array at `keys`, apply `edit` to its float64
+    values and encode the result in its place."""
+    def mutate(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        values = np.frombuffer(base64.b64decode(doc[keys[-1]]), "<f8").copy()
+        doc[keys[-1]] = base64.b64encode(edit(values).tobytes()).decode()
+    return mutate
+
+
+def _poke(*keys, at, value):
+    def edit(values):
+        values[at] = value
+        return values
+    return _edit_array(*keys, edit=edit)
+
+
+def _drop_last_float(*keys):
+    return _edit_array(*keys, edit=lambda values: values[:-1])
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_pop("targets", 1), "targets"),
+    (_poke("agents", 0, "weights", 0, at=2, value=np.nan), "agents[0]"),
+    (_poke("targets", 1, "biases", 1, at=0, value=np.inf), "targets[1]"),
+    (_set("config", "hidden", value=[6]), "agents[0].layer_shapes"),
+    (_drop_last_float("agents", 1, "biases", 0), "agents[1]"),
+    (_pop("targets", 0, "weights", 1), "targets[0]"),
+    (_set("config", "n_agents", value="2"), "config.n_agents"),
+    (_pop("config", "lr"), "config.lr"),
+    (_set("config", "gamma", value=float("nan")), "config.gamma"),
+    (_set("train_step", value="7"), "train_step"),
+    pytest.param(_set("agents", 1, "weights", 0, value="not base64!"),
+                 "agents[1]", id="invalid-base64"),
+    pytest.param(_set("targets", 0, "biases", 1, value="AAAA"),
+                 "targets[0]", id="three-bytes"),
+    pytest.param(_set("agents", 0, "biases", 0, value=[0.0] * 5),
+                 "agents[0]", id="float-list-in-version-2"),
+])
+def test_checkpoint_load_validates_every_field(tmp_path, mutate, field):
+    learner = VDNLearner(tiny_config(), seed=0)
+    path = tmp_path / "ckpt.json"
+    learner.save(str(path))
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointFormatError) as info:
+        VDNLearner.load(str(path))
+    assert str(path) in str(info.value)
+    assert f"{field}:" in str(info.value)
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_pop("targets", 1), "targets"),
     (_set("agents", 0, "weights", 0, 2, value=float("nan")), "agents[0]"),
@@ -717,12 +824,11 @@ def _set(*keys, value):
     (_set("config", "gamma", value=float("nan")), "config.gamma"),
     (_set("train_step", value="7"), "train_step"),
 ])
-def test_checkpoint_load_validates_every_field(tmp_path, mutate, field):
-    learner = VDNLearner(tiny_config(), seed=0)
-    path = tmp_path / "ckpt.json"
-    learner.save(str(path))
-    doc = json.loads(path.read_text())
+def test_checkpoint_version_1_load_validates_every_field(tmp_path, mutate,
+                                                         field):
+    doc = v1_document(VDNLearner(tiny_config(), seed=0))
     mutate(doc)
+    path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointFormatError) as info:
         VDNLearner.load(str(path))
