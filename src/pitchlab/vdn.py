@@ -116,7 +116,11 @@ class TrainConfig:
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    """log(1 + e^z), split as numpy's logaddexp(0, z) splits it, so that
+    exp never overflows; exp and log1p run as numpy's vectorised loops,
+    several times faster than logaddexp's scalar one.  Agrees with
+    logaddexp(0, z) to within an ulp or so, not bit for bit."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,29 @@ def test_softplus_positive_and_smooth_at_zero():
     assert np.all(s > 0)
     assert s[2] == pytest.approx(np.log(2.0), abs=1e-15)
     assert s[4] == pytest.approx(40.0, abs=1e-12)
+
+
+def test_softplus_matches_logaddexp_to_a_few_ulps():
+    rng = np.random.default_rng(13)
+    for scale in (0.1, 1.0, 10.0, 100.0, 800.0):
+        z = rng.normal(scale=scale, size=200_000)
+        z = z[np.abs(z) <= 700.0]
+        np.testing.assert_allclose(vdn.softplus(z), np.logaddexp(0.0, z),
+                                   rtol=1e-15, atol=0)
+
+
+def test_softplus_special_values():
+    s = vdn.softplus(np.array([-np.inf, np.inf, np.nan]))
+    assert s[0] == 0.0 and s[1] == np.inf and np.isnan(s[2])
+    for zero in (0.0, -0.0):
+        assert abs(vdn.softplus(np.array([zero]))[0] - np.log(2.0)) <= 1e-15
+
+
+def test_softplus_raises_no_warning_at_large_magnitudes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = vdn.softplus(np.array([-800.0, 800.0]))
+    assert s[0] == 0.0 and s[1] == 800.0
 
 
 def test_init_respects_fan_in_bounds():
