@@ -117,7 +117,7 @@ def _cmd_solve_epv(args) -> int:
     values = epv_mod.solve_epv(epv_mod.default_chain(pitch), tol=args.tol)
     epv_mod.save_epv_grid(args.out, values, pitch)
     print(f"{args.out}: {values.shape[0]}x{values.shape[1]} grid, "
-          f"peak {values.max()!r}")
+          f"peak {float(values.max())!r}")
     return 0
 
 
@@ -149,20 +149,15 @@ def _cmd_render_field(args) -> int:
     pm = load_config_dict(args.config).get("pass_model") if args.config else None
     pass_params = config_from_dict(pc.PassModelParams, pm or {}, "pass_model")
 
-    if args.epv_grid:
-        epv_values, _geom = epv_mod.load_epv_grid(args.epv_grid, pitch)
-    elif what in ("epv", "overlay"):
-        epv_values = epv_mod.solve_epv(epv_mod.default_chain(pitch))
-    else:
-        epv_values = None
-
-    if what == "control":
+    if what == "control":      # the grid, even if given, is not drawn
         values = pc.compute_control_field(state, pass_params)
-    elif what == "epv":
-        values = epv_values
     else:
-        control = pc.compute_control_field(state, pass_params)
-        values = control * epv_values
+        if args.epv_grid:
+            values, _geom = epv_mod.load_epv_grid(args.epv_grid, pitch)
+        else:
+            values = epv_mod.solve_epv(epv_mod.default_chain(pitch))
+        if what == "overlay":
+            values = pc.compute_control_field(state, pass_params) * values
 
     img = render.render_scene(values, pitch, mode=what, state=state)
     render.write_ppm(args.out, img)
@@ -266,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="episode seed")
     p.add_argument("--at-step", type=int, default=50,
                    help="steps to advance before rendering")
-    p.add_argument("--epv-grid", default=None, help="value-grid JSON file")
+    p.add_argument("--epv-grid", default=None,
+                   help="value-grid JSON file for --what epv or overlay")
     _add_pitch_flags(p)
     p.add_argument("--out", required=True, help="output .ppm path")
     p.set_defaults(fn=_cmd_render_field)

@@ -523,4 +523,3 @@ class VDNLearner:
                 [load_params(d, f"{key}[{a}]") for a, d in enumerate(nets)]))
         learner.train_step = step
         return learner
-

@@ -249,6 +249,14 @@ def test_solve_epv_writes_loadable_grid(tmp_path, capsys):
     assert np.array_equal(values, oracle)
 
 
+def test_solve_epv_prints_the_peak_as_a_plain_float(tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    assert main(["solve-epv", "--out", str(out),
+                 "--grid-m", "4", "--grid-n", "3"]) == 0
+    peak = float(epv.load_epv_grid(str(out))[0].max())
+    assert capsys.readouterr().out == f"{out}: 4x3 grid, peak {peak!r}\n"
+
+
 # -- train / eval / replay / curve ---------------------------------------------------
 
 def test_train_micro_run_artifacts(tmp_path, capsys):
@@ -391,6 +399,24 @@ def test_render_overlay_with_mismatched_grid_exits_3(tmp_path, capsys):
                "--epv-grid", str(grid_path), "--out", str(tmp_path / "x.ppm")])
     assert rc == 3
     assert "DimensionMismatchError" in capsys.readouterr().err
+
+
+def test_render_control_ignores_an_epv_grid_it_does_not_draw(tmp_path, capsys):
+    st = sim.reset(ScenarioConfig(n_defenders=1, n_attackers=1), 0)
+    state_path = tmp_path / "state.json"
+    sim.save_state(st, str(state_path))
+    small = sim.PitchSpec(grid_m=4, grid_n=3)
+    grid_path = tmp_path / "grid.json"
+    epv.save_epv_grid(str(grid_path),
+                      epv.solve_epv(epv.default_chain(small)), small)
+    images = []
+    for extra in ([], ["--epv-grid", str(grid_path)]):
+        out = tmp_path / f"control{len(images)}.ppm"
+        rc = main(["render-field", "--what", "control", "--state",
+                   str(state_path), "--out", str(out), *extra])
+        assert rc == 0, capsys.readouterr().err
+        images.append(out.read_bytes())
+    assert images[0] == images[1]
 
 
 def test_render_with_a_grid_for_another_pitch_exits_3(tmp_path, capsys):
