@@ -72,14 +72,53 @@ class PitchSpec:
         return (0.0, self.width / 2.0)
 
     @cached_property
-    def cell_centers(self) -> np.ndarray:
-        """(grid_m * grid_n, 2) cell-centre coordinates, row-major over (i, j)."""
+    def cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell centres' x values (grid_m,) and y values (grid_n,)."""
         xs = (np.arange(self.grid_m) + 0.5) * (self.length / self.grid_m)
         ys = (np.arange(self.grid_n) + 0.5) * (self.width / self.grid_n)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        out = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        out.setflags(write=False)
-        return out
+        return _read_only(xs), _read_only(ys)
+
+    @cached_property
+    def cell_centers(self) -> np.ndarray:
+        """(grid_m * grid_n, 2) cell-centre coordinates, row-major over (i, j)."""
+        gx, gy = np.meshgrid(*self.cell_axes, indexing="ij")
+        return _read_only(np.stack([gx.ravel(), gy.ravel()], axis=1))
+
+    @cached_property
+    def extent(self) -> np.ndarray:
+        """(length, width): the far corner of the pitch."""
+        return _read_only(np.array([self.length, self.width]))
+
+    @cached_property
+    def offball_candidates(self) -> "OffballCandidates":
+        """The attackers' run targets: every other cell centre over the
+        defensive half, with the parts of their score that never change."""
+        xs, ys = self.cell_axes
+        xs, ys = xs[0:max(2, self.grid_m // 2):2], ys[::2]
+        cand = self.cell_centers.reshape(self.grid_m, self.grid_n, 2)[
+            0:max(2, self.grid_m // 2):2, ::2].reshape(-1, 2)
+        goal = self.goal_center
+        d_goal = np.hypot(cand[:, 0] - goal[0], cand[:, 1] - goal[1])
+        # row j: the penalty on every candidate once candidate j is claimed
+        near = np.hypot(cand[None, :, 0] - cand[:, None, 0],
+                        cand[None, :, 1] - cand[:, None, 1]) < 6.0
+        return OffballCandidates(
+            xs=xs, ys=ys, cells=_read_only(cand),
+            goal_pull=_read_only(d_goal / 25.0),
+            claim_penalty=_read_only(1.5 * near))
+
+
+class OffballCandidates(typing.NamedTuple):
+    xs: np.ndarray             # (mc,) candidate x values
+    ys: np.ndarray             # (nc,) candidate y values
+    cells: np.ndarray          # (mc * nc, 2), row-major over (x, y)
+    goal_pull: np.ndarray      # (mc * nc,) distance to goal / 25
+    claim_penalty: np.ndarray  # (mc * nc, mc * nc), 1.5 within 6 m, else 0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # -- kinematic constants of the simulator -------------------------------------
@@ -474,41 +513,31 @@ def _offball_targets(state: GameState) -> np.ndarray:
     """Pick a run target per attacker: the candidate cell (coarse grid over
     the defensive half) where they out-arrive every defender, pulled toward
     goal, avoiding targets already claimed by earlier teammates."""
-    sc = state.scenario
-    pitch = sc.pitch
-    centers = pitch.cell_centers
-    m, n = pitch.grid_m, pitch.grid_n
-    grid = centers.reshape(m, n, 2)
-    cand = grid[0:max(2, m // 2):2, ::2].reshape(-1, 2)
+    cands = state.scenario.pitch.offball_candidates
+    cand = cands.cells
+    pos = state.positions
+    P = len(pos)
+    # (P, mc, nc) arrival times, separable over the candidates' x and y
+    tau = np.hypot((cands.xs - pos[:, 0:1])[:, :, None],
+                   (cands.ys - pos[:, 1:2])[:, None, :])
+    tau /= state.max_speeds[:, None, None]
+    tau += state.reaction_times[:, None, None]
+    tau = tau.reshape(P, -1)
+    first_att = state.gk_index + 1
+    tau_def = tau[:first_att].min(axis=0)
 
-    goal = np.array(pitch.goal_center)
-    d_goal = np.hypot(cand[:, 0] - goal[0], cand[:, 1] - goal[1])
-
-    def_mask = ~state.is_attacker
-    def_pos = state.positions[def_mask]
-    def_speeds = state.max_speeds[def_mask]
-    def_react = state.reaction_times[def_mask]
-    d_def = np.hypot(cand[:, None, 0] - def_pos[None, :, 0],
-                     cand[:, None, 1] - def_pos[None, :, 1])
-    tau_def = (def_react[None, :] + d_def / def_speeds[None, :]).min(axis=1)
-
-    att_idx = state.attacker_indices
     ball_x = float(state.ball_pos[0])
     # stay connected to the play: punish runs far ahead of the ball
     tether = np.abs(cand[:, 0] - ball_x) / 30.0
-    targets = np.zeros((len(att_idx), 2))
-    claimed: list[np.ndarray] = []
-    for k, idx in enumerate(att_idx):
-        pos = state.positions[idx]
-        tau_att = state.reaction_times[idx] + \
-            np.hypot(cand[:, 0] - pos[0], cand[:, 1] - pos[1]) / state.max_speeds[idx]
-        score = (tau_def - tau_att) - d_goal / 25.0 - tether
+    targets = np.zeros((P - first_att, 2))
+    claimed: list[int] = []
+    for k in range(P - first_att):
+        score = (tau_def - tau[first_att + k]) - cands.goal_pull - tether
         for c in claimed:
-            near = np.hypot(cand[:, 0] - c[0], cand[:, 1] - c[1]) < 6.0
-            score = score - 1.5 * near
+            score = score - cands.claim_penalty[c]
         best = int(np.argmax(score))
         targets[k] = cand[best]
-        claimed.append(cand[best])
+        claimed.append(best)
     return targets
 
 
@@ -547,9 +576,9 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
     pressed_now = False
     if state.carrier is not None:
         cp = pos[state.carrier]
-        dmask = ~state.is_attacker
-        pressed_now = bool(np.min(np.hypot(pos[dmask, 0] - cp[0],
-                                           pos[dmask, 1] - cp[1])) <= PRESS_RADIUS)
+        defs = pos[:state.gk_index + 1]
+        pressed_now = bool(np.min(np.hypot(defs[:, 0] - cp[0],
+                                           defs[:, 1] - cp[1])) <= PRESS_RADIUS)
     needs_refresh = state.intents is None or (
         state.carrier is not None
         and (state.carrier != state.intents_carrier
@@ -602,8 +631,8 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
 
     # -- integrate player positions (containment clamp) ----------------------
     pos += vel * DT
-    np.clip(pos[:, 0], 0.0, pitch.length, out=pos[:, 0])
-    np.clip(pos[:, 1], 0.0, pitch.width, out=pos[:, 1])
+    np.maximum(0.0, pos, out=pos)   # this operand order keeps a -0.0, as clip does
+    np.minimum(pos, pitch.extent, out=pos)
 
     # -- ball ----------------------------------------------------------------
     if state.carrier is not None:

@@ -113,7 +113,9 @@ def _jsonl(doc: dict) -> str:
 def per_agent_observations(scenario: ScenarioConfig,
                            obs: np.ndarray) -> np.ndarray:
     """(n_defenders, obs_dim): one copy of the flat observation per agent."""
-    return np.tile(obs, (scenario.n_defenders, 1))
+    out = np.empty((scenario.n_defenders, obs.shape[0]))
+    out[:] = obs
+    return out
 
 
 def _load_epv_values(config: ExperimentConfig) -> np.ndarray | None:

@@ -358,6 +358,67 @@ def test_press_produces_flight_interceptions():
 
 # -- attacker policy ---------------------------------------------------------------------
 
+def _reference_offball_targets(state):
+    """The attackers' run-target search as first written: every distance
+    through np.hypot, recomputed on each call."""
+    pitch = state.scenario.pitch
+    m, n = pitch.grid_m, pitch.grid_n
+    cand = pitch.cell_centers.reshape(m, n, 2)[0:max(2, m // 2):2, ::2].reshape(-1, 2)
+    goal = np.array(pitch.goal_center)
+    d_goal = np.hypot(cand[:, 0] - goal[0], cand[:, 1] - goal[1])
+    def_mask = ~state.is_attacker
+    def_pos = state.positions[def_mask]
+    d_def = np.hypot(cand[:, None, 0] - def_pos[None, :, 0],
+                     cand[:, None, 1] - def_pos[None, :, 1])
+    tau_def = (state.reaction_times[def_mask][None, :]
+               + d_def / state.max_speeds[def_mask][None, :]).min(axis=1)
+    att_idx = state.attacker_indices
+    tether = np.abs(cand[:, 0] - float(state.ball_pos[0])) / 30.0
+    targets = np.zeros((len(att_idx), 2))
+    claimed = []
+    for k, idx in enumerate(att_idx):
+        pos = state.positions[idx]
+        tau_att = state.reaction_times[idx] + \
+            np.hypot(cand[:, 0] - pos[0], cand[:, 1] - pos[1]) / state.max_speeds[idx]
+        score = (tau_def - tau_att) - d_goal / 25.0 - tether
+        for c in claimed:
+            near = np.hypot(cand[:, 0] - c[0], cand[:, 1] - c[1]) < 6.0
+            score = score - 1.5 * near
+        best = int(np.argmax(score))
+        targets[k] = cand[best]
+        claimed.append(cand[best])
+    return targets
+
+
+@pytest.mark.parametrize("n_def, n_att", [(2, 3), (4, 6)])
+def test_offball_targets_match_the_reference_bit_for_bit(
+        random_action_states, n_def, n_att):
+    sc = small_scenario(n_defenders=n_def, n_attackers=n_att)
+    n_states = 0
+    for st in random_action_states(sc):
+        got = sim._offball_targets(st)
+        assert got.tobytes() == _reference_offball_targets(st).tobytes()
+        n_states += 1
+    assert n_states > 1000
+    # a duel with overwritten speeds and reaction times, as the field tests set
+    st = sim.reset(small_scenario(n_defenders=1, n_attackers=1), 5)
+    st.max_speeds[:] = 8.0
+    st.reaction_times[:] = 0.5
+    assert sim._offball_targets(st).tobytes() == \
+        _reference_offball_targets(st).tobytes()
+
+
+def test_offball_candidates_are_cached_read_only():
+    pitch = PitchSpec()
+    cands = pitch.offball_candidates
+    assert pitch.offball_candidates is cands
+    assert cands.cells.shape == (80, 2)
+    assert cands.claim_penalty.shape == (80, 80)
+    for a in (cands.xs, cands.ys, cands.cells, cands.goal_pull,
+              cands.claim_penalty, pitch.extent, *pitch.cell_axes):
+        assert not a.flags.writeable
+
+
 def test_policy_rejects_bad_difficulty():
     st = sim.reset(small_scenario(), 0)
     with pytest.raises(ConfigError):
