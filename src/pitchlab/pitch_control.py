@@ -225,11 +225,27 @@ def compute_control_field(state: GameState,
 
     Returns a (grid_m, grid_n) array; entry (i, j) is the probability that
     the attacking side would win a ball played to cell centre (i, j).
+
+    The arrival times are laid out player-major, (P, grid_m, grid_n): the
+    squared x offsets (P, grid_m) and y offsets (P, grid_n) are summed by
+    broadcasting, so a distance is sqrt(dx*dx + dy*dy) where
+    `arrival_advantage` takes np.hypot; the two differ in the last bit of
+    some distances.  Defenders and the keeper are players 0..gk_index and
+    the attackers follow, so the team minima are slices.
     """
-    pitch = state.scenario.pitch
-    adv = arrival_advantage(state, pitch.cell_centers)
-    field = pass_success_probability(params, adv)
-    return field.reshape(pitch.grid_m, pitch.grid_n)
+    xs, ys = state.scenario.pitch.cell_axes
+    pos = state.positions
+    dx = xs - pos[:, 0:1]
+    dx *= dx
+    dy = ys - pos[:, 1:2]
+    dy *= dy
+    tau = dx[:, :, None] + dy[:, None, :]
+    np.sqrt(tau, out=tau)
+    tau /= state.max_speeds[:, None, None]
+    tau += state.reaction_times[:, None, None]
+    first_att = state.gk_index + 1
+    adv = tau[:first_att].min(axis=0) - tau[first_att:].min(axis=0)
+    return pass_success_probability(params, adv)
 
 
 def defending_control_field(state: GameState,

@@ -184,6 +184,25 @@ def test_field_shape_and_open_interval():
     assert np.all(field > 0.0) and np.all(field < 1.0)
 
 
+@pytest.mark.parametrize("n_def, n_att", [(2, 3), (4, 6)])
+def test_field_matches_the_arrival_advantage_logistic(
+        random_action_states, n_def, n_att):
+    """The separable field against the (T, P) arrival-time contract."""
+    sc = sim.ScenarioConfig(n_defenders=n_def, n_attackers=n_att,
+                            difficulty=0.95)
+    params = pc.PassModelParams()
+    pitch = sc.pitch
+    n_states = 0
+    for st in random_action_states(sc):
+        want = pc.pass_success_probability(
+            params, pc.arrival_advantage(st, pitch.cell_centers))
+        got = pc.compute_control_field(st, params)
+        assert got.shape == (pitch.grid_m, pitch.grid_n)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
+        n_states += 1
+    assert n_states > 1000
+
+
 def test_complement_identity_exact():
     st = make_state(n_def=2, n_att=2, seed=1)
     params = pc.PassModelParams()
