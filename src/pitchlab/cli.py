@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 for configuration or input-file problems (the
 message names the offending path or field), 3 for runtime failures inside
-the numeric modules.
+the numeric modules.  `train` exits 3 when any seed's log ends in an error
+row, after the other seeds have trained.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from . import sim
 from . import trainer as trainer_mod
 from .sim import (ConfigError, PitchSpec, ScenarioConfig, config_from_dict,
                   config_to_dict)
-from .vdn import CheckpointFormatError, ShapeMismatchError, VDNLearner
+from .vdn import (CheckpointFormatError, DivergenceError, ShapeMismatchError,
+                  VDNLearner)
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
                   yaml.YAMLError)
 _RUNTIME_ERRORS = (pc.InsufficientDataError, pc.NonConvergenceError,
                    epv_mod.NonStochasticChainError, epv_mod.FormatError,
                    epv_mod.ValueIterationError, epv_mod.DimensionMismatchError,
-                   CheckpointFormatError, ShapeMismatchError,
+                   CheckpointFormatError, DivergenceError, ShapeMismatchError,
                    trainer_mod.EmptyLogError, sim.SteppedTerminalError,
                    sim.ActionArityError)
 
@@ -65,14 +67,18 @@ def _cmd_train(args) -> int:
                              baseline=args.baseline)
     run_dir = trainer_mod.run_training(config, args.out, jobs=args.jobs)
     print(run_dir)
+    failed = False
     for seed in config.seeds:
         metrics = os.path.join(run_dir, f"seed-{seed}", "metrics.jsonl")
-        rows = [r for r in trainer_mod.load_metrics(metrics)
-                if r.get("kind") == "eval" and r.get("final")]
-        for r in rows:
-            print(f"seed {seed} difficulty {r['difficulty']}: "
-                  f"mean goal difference {r['mean_goal_difference']:+.4f}")
-    return 0
+        for r in trainer_mod.load_metrics(metrics):
+            if r.get("kind") == "error":
+                print(f"seed {seed}: {r['error']}: {r['message']}",
+                      file=sys.stderr)
+                failed = True
+            elif r.get("kind") == "eval" and r.get("final"):
+                print(f"seed {seed} difficulty {r['difficulty']}: "
+                      f"mean goal difference {r['mean_goal_difference']:+.4f}")
+    return 3 if failed else 0
 
 
 def _cmd_eval(args) -> int:

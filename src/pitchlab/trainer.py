@@ -23,7 +23,8 @@ from . import reward as reward_mod
 from . import sim
 from .sim import (ConfigError, GameState, ScenarioConfig, config_from_dict,
                   config_to_dict)
-from .vdn import LearnerConfig, ReplayBuffer, TrainConfig, VDNLearner
+from .vdn import (DivergenceError, LearnerConfig, ReplayBuffer, TrainConfig,
+                  VDNLearner)
 
 # evaluation episode seeds come from train_seed XOR this constant, keeping
 # the two seed streams disjoint for any training seed
@@ -307,8 +308,9 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     A shaped config's EPV grid is solved or read once, before the run
     directory is made, so a grid file that fails to load leaves no
     directory behind.  A non-convergence error, in the grid's solve or in
-    a seed's optimisation, is recorded in each seed it stops; remaining
-    seeds still run.
+    a seed's optimisation, and a diverging seed's DivergenceError are
+    recorded as an `error` row in each seed they stop; remaining seeds
+    still run.
     """
     try:
         epv_values, unsolved = _load_epv_values(config), None
@@ -325,7 +327,8 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
         if error is None:
             try:
                 train_seed(config, seed, seed_dir, epv_values)
-            except (pc.NonConvergenceError, epv_mod.ValueIterationError) as e:
+            except (pc.NonConvergenceError, epv_mod.ValueIterationError,
+                    DivergenceError) as e:
                 error = e
         if error is not None:
             os.makedirs(seed_dir, exist_ok=True)

@@ -34,6 +34,11 @@ class CheckpointFormatError(ValueError):
     """A checkpoint file is malformed."""
 
 
+class DivergenceError(RuntimeError):
+    """Training diverged: a TD update's loss or gradient norm, or a weight
+    about to be saved, is not finite."""
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     n_agents: int
@@ -425,9 +430,14 @@ class VDNLearner:
         return loss, _backward(self.online, cache, dq)
 
     def td_update(self, batch: TransitionBatch | list[Transition]) -> float:
-        """One SGD step under the global gradient-norm clip; returns the loss."""
+        """One SGD step under the global gradient-norm clip; returns the loss.
+        Raises DivergenceError, before the weights change, when the loss or
+        the gradient norm is not finite."""
         loss, grads = self.td_grads(batch)
         norm = grad_norm(grads)
+        if not (math.isfinite(loss) and math.isfinite(norm)):
+            raise DivergenceError(f"td_update {self.train_step + 1}: loss "
+                                  f"{loss!r}, gradient norm {norm!r}")
         scale = self.config.grad_clip / norm if norm > self.config.grad_clip else 1.0
         lr = self.config.lr
         for p, g in zip((*self.online.weights, *self.online.biases),
@@ -444,7 +454,15 @@ class VDNLearner:
     def save(self, path: str, extra: dict | None = None) -> None:
         """Atomic JSON checkpoint, version 2: each weight and bias array is
         base64 of its little-endian float64 bytes, so it round-trips
-        exactly."""
+        exactly.  A non-finite weight raises DivergenceError naming the
+        network, and nothing is written: load would refuse the file."""
+        for key, net in (("agents", self.online), ("targets", self.target)):
+            for a in (*net.weights, *net.biases):
+                finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+                if not finite.all():
+                    raise DivergenceError(
+                        f"{path}: {key}[{int(np.argmin(finite))}]: "
+                        f"non-finite value, not saved")
         def dump_params(params: QNetwork) -> dict:
             return {
                 "layer_shapes": [list(w.shape) for w in params.weights],

@@ -185,6 +185,67 @@ def test_train_on_a_bad_grid_exits_3_and_makes_no_run_directory(
     assert sorted(os.listdir(tmp_path)) == ["config.yaml", "grid.json"]
 
 
+def _train_exit(tmp_path, doc):
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    rc = main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    (run_dir,) = (tmp_path / "out").iterdir()
+    return rc, run_dir
+
+
+def test_train_with_a_failed_grid_solve_exits_3_and_names_each_seed(
+        tmp_path, capsys, monkeypatch):
+    def fail(*args, **kw):
+        raise epv.ValueIterationError("no convergence after 7 sweeps")
+    monkeypatch.setattr(epv, "solve_epv", fail)
+    rc, run_dir = _train_exit(tmp_path, micro_config_dict(seeds=(1, 2)))
+    assert rc == 3
+    err = capsys.readouterr().err
+    for seed in (1, 2):
+        assert f"seed {seed}: ValueIterationError: no convergence after " \
+            f"7 sweeps" in err
+        rows = trainer.load_metrics(str(run_dir / f"seed-{seed}" / "metrics.jsonl"))
+        assert [r["kind"] for r in rows] == ["error"]
+
+
+def test_train_exits_3_when_one_seed_fails_and_the_others_train(
+        tmp_path, capsys, monkeypatch):
+    train_seed = trainer.train_seed
+
+    def fail_seed_2(config, seed, *args):
+        if seed == 2:
+            raise pc.NonConvergenceError("line search stalled")
+        return train_seed(config, seed, *args)
+    monkeypatch.setattr(trainer, "train_seed", fail_seed_2)
+    rc, run_dir = _train_exit(tmp_path, micro_config_dict(seeds=(1, 2)))
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "seed 2: NonConvergenceError: line search stalled" in err
+    assert "seed 1" not in err
+    assert "seed 1 difficulty 0.95: mean goal difference" in out
+    assert (run_dir / "seed-1" / "ckpt_final.json").exists()
+
+
+def test_diverging_run_exits_3_and_leaves_only_finite_checkpoints(
+        tmp_path, capsys):
+    doc = cli.load_config_dict(os.path.join(
+        os.path.dirname(__file__), "..", "configs", "desk_2v3.yaml"))
+    doc["train"].update(hidden=[16, 16], total_steps=4000, learn_start=500,
+                        learning_rate=1000.0, grad_clip=1.0e300)
+    doc["seeds"] = [1]
+    with np.errstate(all="ignore"):
+        rc, run_dir = _train_exit(tmp_path, doc)
+    assert rc == 3
+    assert "seed 1: DivergenceError: td_update " in capsys.readouterr().err
+    seed_dir = run_dir / "seed-1"
+    rows = trainer.load_metrics(str(seed_dir / "metrics.jsonl"))
+    assert rows[-1]["kind"] == "error"
+    assert rows[-1]["error"] == "DivergenceError"
+    ckpts = sorted(seed_dir.glob("ckpt_*.json"))
+    assert ckpts    # the step-0 checkpoint
+    for path in ckpts:
+        VDNLearner.load(str(path))   # raises on a non-finite value
+
+
 def test_insufficient_fit_data_exits_3(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("x,k\n" + "".join(f"{0.1 * i},1\n" for i in range(20)))

@@ -400,10 +400,13 @@ def test_offball_targets_match_the_reference_bit_for_bit(
         assert got.tobytes() == _reference_offball_targets(st).tobytes()
         n_states += 1
     assert n_states > 1000
-    # a duel with overwritten speeds and reaction times, as the field tests set
+    # a duel with overwritten speeds and reaction times, as the field tests
+    # set them: a keeper as fast as the rest contests the attacker's run
     st = sim.reset(small_scenario(n_defenders=1, n_attackers=1), 5)
     st.max_speeds[:] = 8.0
     st.reaction_times[:] = 0.5
+    st.positions[0] = (90.0, 60.0)
+    st.positions[2] = st.ball_pos = (14.0, 30.0)
     assert sim._offball_targets(st).tobytes() == \
         _reference_offball_targets(st).tobytes()
 

@@ -10,6 +10,7 @@ from pitchlab import vdn
 from pitchlab.sim import ConfigError, config_to_dict
 from pitchlab.vdn import (
     CheckpointFormatError,
+    DivergenceError,
     LearnerConfig,
     QNetwork,
     ReplayBuffer,
@@ -286,6 +287,25 @@ def test_train_step_counter_advances():
     learner.td_update(batch)
     learner.td_update(batch)
     assert learner.train_step == 2
+
+
+@pytest.mark.parametrize("what", ["inf-loss", "nan-loss", "inf-norm"])
+def test_td_update_stops_on_a_non_finite_loss_or_norm(monkeypatch, what):
+    cfg = tiny_config()
+    learner = VDNLearner(cfg, seed=3)
+    batch = random_batch(cfg, np.random.default_rng(4))
+    learner.td_update(batch)
+    if what == "inf-norm":
+        monkeypatch.setattr(vdn, "grad_norm", lambda grads: float("inf"))
+    else:
+        batch.rewards[1] = np.inf if what == "inf-loss" else np.nan
+    before = learner.online.copy()
+    with pytest.raises(DivergenceError, match=r"^td_update 2: loss .*, "
+                                              r"gradient norm "), \
+            np.errstate(invalid="ignore"):
+        learner.td_update(batch)
+    assert learner.train_step == 1
+    assert nets_equal([learner.online], [before])
 
 
 # -- stacked networks against a per-agent reference -------------------------------
@@ -694,6 +714,22 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert doc["version"] == 2
     raw = base64.b64decode(doc["targets"][1]["weights"][1], validate=True)
     assert raw == learner.targets[1].weights[1].astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("key, attr", [("agents", "online"),
+                                       ("targets", "target")])
+def test_save_refuses_a_non_finite_weight_and_keeps_the_old_file(
+        tmp_path, key, attr):
+    learner = VDNLearner(tiny_config(), seed=3)
+    path = tmp_path / "ckpt.json"
+    learner.save(str(path))
+    saved = path.read_bytes()
+    getattr(learner, attr).biases[0][1, 2] = np.nan
+    with pytest.raises(DivergenceError,
+                       match=rf"ckpt.json: {key}\[1\]: non-finite value"):
+        learner.save(str(path))
+    assert path.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
 
 
 def test_checkpoint_version_1_still_loads_bit_exact(tmp_path):
