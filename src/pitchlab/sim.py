@@ -81,8 +81,7 @@ class PitchSpec:
     @cached_property
     def cell_centers(self) -> np.ndarray:
         """(grid_m * grid_n, 2) cell-centre coordinates, row-major over (i, j)."""
-        gx, gy = np.meshgrid(*self.cell_axes, indexing="ij")
-        return _read_only(np.stack([gx.ravel(), gy.ravel()], axis=1))
+        return _grid_product(*self.cell_axes)
 
     @cached_property
     def extent(self) -> np.ndarray:
@@ -95,15 +94,14 @@ class PitchSpec:
         defensive half, with the parts of their score that never change."""
         xs, ys = self.cell_axes
         xs, ys = xs[0:max(2, self.grid_m // 2):2], ys[::2]
-        cand = self.cell_centers.reshape(self.grid_m, self.grid_n, 2)[
-            0:max(2, self.grid_m // 2):2, ::2].reshape(-1, 2)
+        cand = _grid_product(xs, ys)
         goal = self.goal_center
         d_goal = np.hypot(cand[:, 0] - goal[0], cand[:, 1] - goal[1])
         # row j: the penalty on every candidate once candidate j is claimed
         near = np.hypot(cand[None, :, 0] - cand[:, None, 0],
                         cand[None, :, 1] - cand[:, None, 1]) < 6.0
         return OffballCandidates(
-            xs=xs, ys=ys, cells=_read_only(cand),
+            xs=xs, ys=ys, cells=cand,
             goal_pull=_read_only(d_goal / 25.0),
             claim_penalty=_read_only(1.5 * near))
 
@@ -119,6 +117,12 @@ class OffballCandidates(typing.NamedTuple):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _grid_product(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(len(xs) * len(ys), 2) points, row-major over (x, y), read-only."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return _read_only(np.stack([gx.ravel(), gy.ravel()], axis=1))
 
 
 # -- kinematic constants of the simulator -------------------------------------
