@@ -81,12 +81,13 @@ def test_per_agent_observations_global_mode():
 def test_per_agent_observations_is_a_writable_contiguous_tile():
     sc = ScenarioConfig(n_defenders=4, n_attackers=6)
     obs = sim.observe(sim.reset(sc, 3))
+    before = obs.copy()
     out = per_agent_observations(sc, obs)
     assert out.tobytes() == np.tile(obs, (4, 1)).tobytes()
     assert out.dtype == np.float64 and out.shape == (4, obs.shape[0])
     assert out.flags.c_contiguous and out.flags.writeable
     out[0, 0] += 1.0      # a copy: neither the other rows nor obs change
-    assert out[1, 0] == obs[0]
+    assert out[1, 0] == before[0] and obs[0] == before[0]
 
 
 # -- experiment config ----------------------------------------------------------------
