@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import yaml
 
@@ -101,21 +101,13 @@ def _cmd_fit_pass_model(args) -> int:
     return 0
 
 
-def _add_pitch_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per PitchSpec field (`--grid-m` for grid_m), defaulting to
-    the field's default."""
-    for f in fields(PitchSpec):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
-                       default=f.default)
-
-
 def _pitch_from_args(args) -> PitchSpec:
-    if args.config:
-        doc = load_config_dict(args.config)
-        return config_from_dict(ScenarioConfig, doc.get("scenario", {}),
-                                "scenario").pitch
-    return PitchSpec(**{f.name: getattr(args, f.name)
-                        for f in fields(PitchSpec)})
+    """The pitch of --config's scenario; the default pitch without one."""
+    if not args.config:
+        return PitchSpec()
+    doc = load_config_dict(args.config)
+    return config_from_dict(ScenarioConfig, doc.get("scenario", {}),
+                            "scenario").pitch
 
 
 def _cmd_solve_epv(args) -> int:
@@ -251,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output grid JSON path")
     p.add_argument("--config", default=None,
                    help="experiment config supplying the pitch")
-    _add_pitch_flags(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_solve_epv)
 
@@ -269,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steps to advance before rendering")
     p.add_argument("--epv-grid", default=None,
                    help="value-grid JSON file for --what epv or overlay")
-    _add_pitch_flags(p)
     p.add_argument("--out", required=True, help="output .ppm path")
     p.set_defaults(fn=_cmd_render_field)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import PitchSpec, is_finite_number, read_text, write_json_atomic
+from .sim import (ConfigError, PitchSpec, is_finite_number, read_text,
+                  write_json_atomic)
 
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
@@ -148,8 +149,8 @@ def solve_epv(chain: PossessionChain, *, tol: float = 1e-8,
     ValueIterationError if that never happens within max_iter sweeps.
     """
     chain.validate()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol: expected a finite number > 0, got {tol!r}")
     m, n = chain.shape
     r = chain.shot * chain.score
     mv = chain.move

@@ -108,6 +108,8 @@ def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
     NonConvergenceError
         Tolerance not reached within `max_iter` iterations.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol: expected a finite number > 0, got {tol!r}")
     x = np.asarray(x, dtype=float).ravel()
     k = np.asarray(k, dtype=float).ravel()
     if x.shape != k.shape:

@@ -338,7 +338,10 @@ class GameState:
 def reset(scenario: ScenarioConfig, seed: int) -> GameState:
     """Build the kickoff state: defenders spread in their own half, attackers
     around a kickoff formation, ball carried by an attacker on the halfway
-    line.  Identical (scenario, seed) pairs produce bit-identical states."""
+    line.  Identical (scenario, seed) pairs produce bit-identical states.
+    A negative seed raises ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed: expected an int >= 0, got {seed}")
     pitch = scenario.pitch
     L, W = pitch.length, pitch.width
     rng = np.random.default_rng(int(seed))

@@ -47,19 +47,19 @@ class ExperimentConfig:
     eval_every: int = 2000
     eval_episodes: int = 32
     eval_difficulties: tuple[float, ...] = ()   # empty: scenario difficulty only
-    field_stride: int = 1             # recompute the field every k steps
 
     def __post_init__(self) -> None:
         if len(self.seeds) == 0:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds: duplicate seeds in {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds: expected seeds >= 0, "
+                              f"got {list(self.seeds)}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-        if self.field_stride < 1:
-            raise ConfigError("field_stride must be >= 1")
         for d in self.eval_difficulties:
             if not 0.0 <= d <= 1.0:
                 raise ConfigError("eval difficulties must lie in [0, 1]")
@@ -131,8 +131,8 @@ def _load_epv_values(config: ExperimentConfig) -> np.ndarray | None:
 
 class EpisodeTally:
     """Per-episode bookkeeping for training and evaluation: the game-state
-    EPV every `field_stride` steps, held in between (0 without a grid), the
-    shaped reward, and the running sums an EpisodeRecord reports."""
+    EPV of every state (0 without a grid), the shaped reward, and the
+    running sums an EpisodeRecord reports."""
 
     def __init__(self, config: ExperimentConfig,
                  epv_values: np.ndarray | None):
@@ -152,8 +152,7 @@ class EpisodeTally:
         """Books the step that landed in `state`; returns its shaped reward."""
         self.steps += 1
         prev = self.value
-        if self.epv_values is not None \
-                and self.steps % self.config.field_stride == 0:
+        if self.epv_values is not None:
             self.value = self._state_value(state)
         sparse = reward_mod.sparse_reward(events)
         shaped = reward_mod.shaped_reward(self.config.reward, sparse, prev,

@@ -60,6 +60,10 @@ class LearnerConfig:
             raise ConfigError("gamma must lie in [0, 1]")
 
 
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training-loop knobs shared by the matrix-game tests and the full
@@ -68,9 +72,6 @@ class TrainConfig:
     total_steps: int = 200_000
     learning_rate: float = 5e-4
     gamma: float = 0.99
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 0    # 0 means 20% of total_steps
     batch_size: int = 32
     target_sync_period: int = 500
     buffer_capacity: int = 50_000
@@ -86,11 +87,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.epsilon_decay_steps < 0:
-            raise ConfigError("epsilon_decay_steps must be >= 0")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ConfigError("need buffer_capacity >= batch_size >= 1")
         if self.target_sync_period < 1 or self.update_every < 1:
@@ -98,18 +94,14 @@ class TrainConfig:
         if self.learn_start < self.batch_size:
             raise ConfigError("learn_start must be >= batch_size")
 
-    @property
-    def decay_steps(self) -> int:
-        if self.epsilon_decay_steps > 0:
-            return self.epsilon_decay_steps
-        return max(1, self.total_steps // 5)
-
     def epsilon_at(self, step: int) -> float:
-        """Linear anneal from epsilon_start to epsilon_end over decay_steps."""
-        if step >= self.decay_steps:
-            return self.epsilon_end
-        frac = step / self.decay_steps
-        return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
+        """Linear anneal from EPSILON_START to EPSILON_END over the first
+        fifth of total_steps."""
+        decay_steps = max(1, self.total_steps // 5)
+        if step >= decay_steps:
+            return EPSILON_END
+        frac = step / decay_steps
+        return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
     def learner_config(self, n_agents: int, obs_dim: int,
                        n_actions: int) -> LearnerConfig:
@@ -432,9 +424,12 @@ class VDNLearner:
     def td_update(self, batch: TransitionBatch | list[Transition]) -> float:
         """One SGD step under the global gradient-norm clip; returns the loss.
         Raises DivergenceError, before the weights change, when the loss or
-        the gradient norm is not finite."""
-        loss, grads = self.td_grads(batch)
-        norm = grad_norm(grads)
+        the gradient norm is not finite.  An overflow or invalid value on
+        the way makes one of them non-finite, so numpy's warnings for it
+        are silenced: the error reports it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = self.td_grads(batch)
+            norm = grad_norm(grads)
         if not (math.isfinite(loss) and math.isfinite(norm)):
             raise DivergenceError(f"td_update {self.train_step + 1}: loss "
                                   f"{loss!r}, gradient norm {norm!r}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def micro_config_dict(weight=0.1, seeds=(1,)):
         eval_episodes=2,
     )
     return sim.config_to_dict(cfg)
+
+
+def pitch_config(tmp_path, **pitch):
+    """A micro config file whose scenario plays on PitchSpec(**pitch)."""
+    doc = micro_config_dict()
+    doc["scenario"]["pitch"] = sim.config_to_dict(sim.PitchSpec(**pitch))
+    return write_yaml(tmp_path / "config.yaml", doc)
 
 
 def write_yaml(path, doc):
@@ -107,6 +115,12 @@ def _set(*keys, value):
     (_set("scenario", "tackle_prob", value=0.15), "scenario.tackle_prob"),
     (_set("reward", "gamma", value=0.99), "reward.gamma"),
     (_set("obs_mode", value="global"), "obs_mode"),
+    # the field stride and the epsilon schedule are no longer settable
+    (_set("field_stride", value=1), "field_stride"),
+    (_set("train", "epsilon_start", value=1.0), "train.epsilon_start"),
+    (_set("train", "epsilon_end", value=0.05), "train.epsilon_end"),
+    (_set("train", "epsilon_decay_steps", value=0), "train.epsilon_decay_steps"),
+    (_set("seeds", value=[-1]), "seeds"),
 ])
 def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path):
     doc = micro_config_dict()
@@ -232,8 +246,10 @@ def test_diverging_run_exits_3_and_leaves_only_finite_checkpoints(
     doc["train"].update(hidden=[16, 16], total_steps=4000, learn_start=500,
                         learning_rate=1000.0, grad_clip=1.0e300)
     doc["seeds"] = [1]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc, run_dir = _train_exit(tmp_path, doc)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert rc == 3
     assert "seed 1: DivergenceError: td_update " in capsys.readouterr().err
     seed_dir = run_dir / "seed-1"
@@ -300,7 +316,7 @@ def test_malformed_pass_events_exit_2_and_name_line_and_column(
 def test_solve_epv_writes_loadable_grid(tmp_path, capsys):
     out = tmp_path / "grid.json"
     rc = main(["solve-epv", "--out", str(out),
-               "--grid-m", "8", "--grid-n", "6"])
+               "--config", pitch_config(tmp_path, grid_m=8, grid_n=6)])
     assert rc == 0
     assert str(out) in capsys.readouterr().out
     values, geom = epv.load_epv_grid(str(out))
@@ -313,9 +329,50 @@ def test_solve_epv_writes_loadable_grid(tmp_path, capsys):
 def test_solve_epv_prints_the_peak_as_a_plain_float(tmp_path, capsys):
     out = tmp_path / "grid.json"
     assert main(["solve-epv", "--out", str(out),
-                 "--grid-m", "4", "--grid-n", "3"]) == 0
+                 "--config", pitch_config(tmp_path, grid_m=4, grid_n=3)]) == 0
     peak = float(epv.load_epv_grid(str(out))[0].max())
     assert capsys.readouterr().out == f"{out}: 4x3 grid, peak {peak!r}\n"
+
+
+def test_solve_epv_takes_the_whole_pitch_from_the_config(tmp_path):
+    dims = dict(length=90.0, width=60.0, grid_m=16, grid_n=10,
+                goal_half_width=5.0)
+    pitch = sim.PitchSpec(**dims)
+    out = tmp_path / "grid.json"
+    rc = main(["solve-epv", "--out", str(out),
+               "--config", pitch_config(tmp_path, **dims)])
+    assert rc == 0
+    values, geom = epv.load_epv_grid(str(out), pitch)
+    assert values.shape == (16, 10)
+    assert geom["length"] == 90.0 and geom["goal_half_width"] == 5.0
+    assert np.array_equal(values, epv.solve_epv(epv.default_chain(pitch)))
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-epv"], ["render-field", "--what", "epv"]])
+@pytest.mark.parametrize("flag", [
+    "--length", "--width", "--grid-m", "--grid-n", "--goal-half-width"])
+def test_pitch_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(out), flag, "16"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("command", ["solve-epv", "fit-pass-model"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    events = tmp_path / "events.csv"
+    pc.save_pass_events(str(events), np.array([0.3, -0.2]), np.array([1, 0]))
+    inputs = ["--events", str(events)] if command == "fit-pass-model" else []
+    out = tmp_path / "out.json"
+    rc = main([command, *inputs, "--out", str(out), f"--tol={tol}"])
+    assert rc == 2
+    assert f"tol: expected a finite number > 0, got {float(tol)!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- train / eval / replay / curve ---------------------------------------------------
@@ -356,14 +413,30 @@ def test_train_seeds_override(tmp_path):
         assert json.load(f)["seeds"] == [5]
 
 
+@pytest.mark.parametrize("argv", [
+    ["replay", "--out", "{tmp}/episode.jsonl"],
+    ["render-field", "--what", "control", "--out", "{tmp}/scene.ppm"],
+], ids=["replay", "render-field"])
+def test_a_negative_episode_seed_exits_2(tmp_path, capsys, argv):
+    cfg_path, run_dir = micro_run(tmp_path)
+    ckpt = os.path.join(run_dir, "seed-1", "ckpt_final.json")
+    capsys.readouterr()
+    rc = main([a.format(tmp=tmp_path) for a in argv]
+              + ["--checkpoint", ckpt, "--config", cfg_path, "--seed", "-1"])
+    assert rc == 2
+    assert "seed: expected an int >= 0, got -1" in capsys.readouterr().err
+    assert not any(p.suffix in (".jsonl", ".ppm") for p in tmp_path.iterdir())
+
+
 def test_eval_checkpoint(tmp_path, capsys):
     cfg_path, run_dir = micro_run(tmp_path)
     capsys.readouterr()
     ckpt = os.path.join(run_dir, "seed-1", "ckpt_final.json")
-    rc = main(["eval", "--checkpoint", ckpt, "--config", cfg_path,
-               "--episodes", "2", "--seed", "3"])
-    assert rc == 0
-    assert "mean goal difference over 2 episodes" in capsys.readouterr().out
+    for seed in ("3", "-1"):   # evaluation masks its seed: -1 is valid
+        rc = main(["eval", "--checkpoint", ckpt, "--config", cfg_path,
+                   "--episodes", "2", "--seed", seed])
+        assert rc == 0
+        assert "mean goal difference over 2 episodes" in capsys.readouterr().out
 
 
 def test_replay_writes_step_rows(tmp_path, capsys):
@@ -432,7 +505,7 @@ def test_curve_without_metrics_exits_3(tmp_path, capsys):
 def test_render_epv_without_state(tmp_path, capsys):
     out = tmp_path / "epv.ppm"
     rc = main(["render-field", "--what", "epv", "--out", str(out),
-               "--grid-m", "8", "--grid-n", "6"])
+               "--config", pitch_config(tmp_path, grid_m=8, grid_n=6)])
     assert rc == 0
     assert out.read_bytes().startswith(b"P6\n")
 
@@ -637,8 +710,8 @@ def test_state_file_that_is_not_json_exits_2(tmp_path, capsys):
 def test_installed_script_runs(tmp_path):
     out = tmp_path / "grid.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "pitchlab.cli", "solve-epv",
-         "--out", str(out), "--grid-m", "4", "--grid-n", "3"],
+        [sys.executable, "-m", "pitchlab.cli", "solve-epv", "--out", str(out),
+         "--config", pitch_config(tmp_path, grid_m=4, grid_n=3)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert out.exists()
+    assert epv.load_epv_grid(str(out))[0].shape == (4, 3)

@@ -93,7 +93,8 @@ def test_per_agent_observations_is_a_writable_contiguous_tile():
 # -- experiment config ----------------------------------------------------------------
 
 def test_config_dict_roundtrip():
-    cfg = tiny_config(eval_difficulties=(0.95, 0.5), field_stride=3)
+    cfg = tiny_config(eval_difficulties=(0.95, 0.5),
+                      pass_model=pc.PassModelParams(sigma=0.5, lam=0.1))
     doc = sim.config_to_dict(cfg)
     # config.json carries the dict through JSON text
     for d in (doc, json.loads(json.dumps(doc))):
@@ -107,8 +108,8 @@ def test_config_hash_of_shipped_configs_is_pinned():
     # the hash names the run directory, run-<hash>
     configs = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "configs")
-    for name, expected in (("desk_2v3", "adab74cde958"),
-                           ("full_4v6", "3169eb662725")):
+    for name, expected in (("desk_2v3", "b7e6eb85072a"),
+                           ("full_4v6", "1f72bdd2ff6b")):
         cfg = cli.load_experiment(os.path.join(configs, f"{name}.yaml"))
         assert cfg.config_hash() == expected
 
@@ -153,6 +154,8 @@ def test_config_validation():
         tiny_config(seeds=())
     with pytest.raises(ConfigError, match="seeds"):
         tiny_config(seeds=(1, 1))
+    with pytest.raises(ConfigError, match="seeds"):
+        tiny_config(seeds=(2, -1))
     with pytest.raises(ConfigError):
         tiny_config(eval_difficulties=(1.5,))
 
@@ -239,48 +242,31 @@ def test_inactive_probe_reports_no_epv():
     assert all(r.mean_epv is not None for r in records)
 
 
-def test_value_probe_holds_between_strides():
-    cfg = tiny_config(field_stride=4)
+def test_potential_shaping_uses_the_held_values():
+    cfg = replace(tiny_config(),
+                  reward=ShapingConfig(mode=ShapingMode.POTENTIAL_BASED,
+                                       weight=0.5))
     values = trainer._load_epv_values(cfg)
     tally = trainer.EpisodeTally(cfg, values)
     st = sim.reset(cfg.scenario, 0)
     tally.start(st)
-    v0 = tally.value
-    held = []
-    for _ in range(8):
-        st, events = sim.step(st, [0])
-        tally.step(st, events)
-        held.append(tally.value)
-    # three holds then a recompute, twice over
-    assert held[0] == held[1] == held[2] == v0
-    assert held[3] != v0
-    assert held[4] == held[5] == held[6] == held[3]
-    assert held[7] != held[3]
-    assert tally.steps == 8
-    assert tally.epv_sum == sum(held)
-
-
-def test_potential_shaping_uses_the_held_values():
-    cfg = tiny_config(field_stride=3)
-    cfg = replace(cfg, reward=ShapingConfig(mode=ShapingMode.POTENTIAL_BASED,
-                                            weight=0.5))
-    tally = trainer.EpisodeTally(cfg, trainer._load_epv_values(cfg))
-    st = sim.reset(cfg.scenario, 0)
-    tally.start(st)
-    held, sparse, shaped = [tally.value], [], []
+    held, fresh, sparse, shaped = [tally.value], [], [], []
     for _ in range(8):
         st, events = sim.step(st, [0])
         shaped.append(tally.step(st, events))
         held.append(tally.value)
+        fresh.append(epv.game_state_epv(
+            pc.compute_control_field(st, cfg.pass_model), values))
         sparse.append(reward.sparse_reward(events))
-    # the value is refreshed after steps 3 and 6 and held in between
-    assert held[0] == held[1] == held[2] != held[3]
-    assert held[3] == held[4] == held[5] != held[6]
-    assert held[6] == held[7] == held[8]
+    # the value is recomputed at every step, from the state it landed in
+    assert held[1:] == fresh
+    assert len(set(held)) == len(held)
     for t in range(8):
         assert shaped[t] == reward.potential_shaped(
             sparse[t], held[t], held[t + 1], weight=0.5, gamma=0.99)
+    assert tally.steps == 8
     assert tally.shaped == sum(shaped)
+    assert tally.epv_sum == sum(held[1:])
 
 
 # -- training loop -------------------------------------------------------------------------

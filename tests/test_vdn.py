@@ -9,6 +9,8 @@ import pytest
 from pitchlab import vdn
 from pitchlab.sim import ConfigError, config_to_dict
 from pitchlab.vdn import (
+    EPSILON_END,
+    EPSILON_START,
     CheckpointFormatError,
     DivergenceError,
     LearnerConfig,
@@ -523,20 +525,23 @@ def test_sync_is_a_copy_not_a_view():
 # -- epsilon schedule --------------------------------------------------------------
 
 def test_epsilon_schedule_linear_anneal():
-    tc = TrainConfig(total_steps=1000, epsilon_start=1.0, epsilon_end=0.1,
-                     epsilon_decay_steps=100, learn_start=32)
+    assert (EPSILON_START, EPSILON_END) == (1.0, 0.05)
+    tc = TrainConfig(total_steps=1000, learn_start=32)
     assert tc.epsilon_at(0) == 1.0
-    assert tc.epsilon_at(50) == pytest.approx(0.55)
-    assert tc.epsilon_at(100) == 0.1
-    assert tc.epsilon_at(10_000) == 0.1
+    assert tc.epsilon_at(100) == pytest.approx(0.525)
+    # the same arithmetic, in the same order, as the schedule's formula
+    assert tc.epsilon_at(37) == 1.0 + (37 / 200) * (0.05 - 1.0)
+    assert tc.epsilon_at(200) == 0.05
+    assert tc.epsilon_at(10_000) == 0.05
 
 
 def test_epsilon_decay_defaults_to_fifth_of_total():
     tc = TrainConfig(total_steps=1000, learn_start=32)
-    assert tc.decay_steps == 200
-    explicit = TrainConfig(total_steps=1000, epsilon_decay_steps=77,
-                           learn_start=32)
-    assert explicit.decay_steps == 77
+    assert tc.epsilon_at(199) > EPSILON_END
+    assert tc.epsilon_at(200) == EPSILON_END
+    short = TrainConfig(total_steps=4, batch_size=1, learn_start=1)
+    assert short.epsilon_at(0) == EPSILON_START   # decays over one step
+    assert short.epsilon_at(1) == EPSILON_END
 
 
 def test_train_config_validation():
@@ -544,8 +549,6 @@ def test_train_config_validation():
         TrainConfig(total_steps=0)
     with pytest.raises(ConfigError):
         TrainConfig(gamma=1.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(epsilon_start=-0.1)
     with pytest.raises(ConfigError):
         TrainConfig(buffer_capacity=8, batch_size=32)
     with pytest.raises(ConfigError):
