@@ -191,19 +191,18 @@ class DefenderAction(IntEnum):
 N_ACTIONS = len(DefenderAction)
 
 _D = math.sqrt(0.5)
-# unit vectors for MOVE_E .. MOVE_SE, indexed by DefenderAction value
-_MOVE_DIRS = np.array([
-    [0.0, 0.0],      # STAY (unused)
-    [1.0, 0.0],      # E
-    [_D, _D],        # NE
-    [0.0, 1.0],      # N
-    [-_D, _D],       # NW
-    [-1.0, 0.0],     # W
-    [-_D, -_D],      # SW
-    [0.0, -1.0],     # S
-    [_D, -_D],       # SE
-])
-_MOVE_DIRS.setflags(write=False)
+# velocities of STAY and MOVE_E .. MOVE_SE, indexed by DefenderAction value
+_MOVE_VELS = tuple((dx * MAX_SPEED, dy * MAX_SPEED) for dx, dy in (
+    (0.0, 0.0),      # STAY
+    (1.0, 0.0),      # E
+    (_D, _D),        # NE
+    (0.0, 1.0),      # N
+    (-_D, _D),       # NW
+    (-1.0, 0.0),     # W
+    (-_D, -_D),      # SW
+    (0.0, -1.0),     # S
+    (_D, -_D),       # SE
+))
 
 
 class OutcomeKind(Enum):
@@ -373,31 +372,34 @@ def reset(scenario: ScenarioConfig, seed: int) -> GameState:
     return state
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = math.hypot(v[0], v[1])
+def _unit(x: float, y: float) -> tuple[float, float]:
+    n = math.hypot(x, y)
     if n < 1e-12:
-        return np.zeros(2)
-    return v / n
+        return 0.0, 0.0
+    return x / n, y / n
 
 
-def _rotate(v: np.ndarray, angle: float) -> np.ndarray:
+def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return c * x - s * y, s * x + c * y
 
 
-def _dist_point_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
+def _dist_point_segment(p: Sequence[float], a: Sequence[float],
+                        b: Sequence[float]) -> float:
+    """Distance from point p to segment ab, each an (x, y) pair of floats."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
     if denom < 1e-12:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ ab) / denom
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * abx + (py - ay) * aby) / denom
     t = min(max(t, 0.0), 1.0)
-    proj = a + t * ab
-    return float(np.hypot(*(p - proj)))
+    return math.hypot(px - (ax + t * abx), py - (ay + t * aby))
 
 
-def _segment_min_dist(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return min(_dist_point_segment(points[i], a, b) for i in range(len(points)))
+def _segment_min_dist(points: Sequence[Sequence[float]], a: Sequence[float],
+                      b: Sequence[float]) -> float:
+    return min(_dist_point_segment(p, a, b) for p in points)
 
 
 def attacker_policy(state: GameState, difficulty: float,
@@ -415,14 +417,10 @@ def attacker_policy(state: GameState, difficulty: float,
         raise ConfigError("difficulty must lie in [0, 1]")
     sc = state.scenario
     pitch = sc.pitch
-    goal = np.array(pitch.goal_center)
-    att_idx = state.attacker_indices
-    def_mask = ~state.is_attacker
-    def_pos = state.positions[def_mask]
+    gx, gy = pitch.goal_center
+    first_att = state.gk_index + 1
 
     carrier = state.carrier
-    carrier_is_attacker = carrier is not None and state.is_attacker[carrier]
-
     option: Optional[CarrierOption] = None
     greedy: Optional[CarrierOption] = None
     available: tuple[CarrierOption, ...] = ()
@@ -430,25 +428,26 @@ def attacker_policy(state: GameState, difficulty: float,
     aim_point: Optional[tuple[float, float]] = None
     dribble_dir: Optional[tuple[float, float]] = None
 
-    if carrier_is_attacker:
-        cpos = state.positions[carrier]
-        d_goal = float(np.hypot(*(cpos - goal)))
-        pressed_dist = float(np.min(np.hypot(def_pos[:, 0] - cpos[0],
-                                             def_pos[:, 1] - cpos[1])))
-        in_zone = cpos[0] <= SCORING_ZONE_DEPTH
-        teammates = [int(j) for j in att_idx if j != carrier]
+    if carrier is not None and carrier >= first_att:
+        pos = state.positions.tolist()
+        def_pos = pos[:first_att]
+        cpos = cx, cy = pos[carrier]
+        d_goal = math.hypot(cx - gx, cy - gy)
+        def_dists = [math.hypot(x - cx, y - cy) for x, y in def_pos]
+        pressed_dist = min(def_dists)
+        in_zone = cx <= SCORING_ZONE_DEPTH
+        teammates = [j for j in range(first_att, len(pos)) if j != carrier]
 
         scores: dict[CarrierOption, float] = {}
         unpressed = pressed_dist > PRESS_RADIUS
         scores[CarrierOption.DRIBBLE] = 0.55 if unpressed else 0.25
 
         if teammates:
-            best_tm, best_val = teammates[0], -np.inf
+            best_tm, best_val = teammates[0], -math.inf
             for j in teammates:
-                tpos = state.positions[j]
-                tm_d_goal = float(np.hypot(*(tpos - goal)))
-                openness = float(np.min(np.hypot(def_pos[:, 0] - tpos[0],
-                                                 def_pos[:, 1] - tpos[1])))
+                tpos = tx, ty = pos[j]
+                tm_d_goal = math.hypot(tx - gx, ty - gy)
+                openness = min(math.hypot(x - tx, y - ty) for x, y in def_pos)
                 blocked = _segment_min_dist(def_pos, cpos, tpos) < 1.5
                 val = (0.4 * min(max((d_goal - tm_d_goal) / 20.0, -1.0), 1.0)
                        + 0.15 * min(openness / 10.0, 1.0)
@@ -479,30 +478,25 @@ def attacker_policy(state: GameState, difficulty: float,
 
         if option is CarrierOption.SHOOT:
             margin = 0.5
-            corners = [
-                np.array([0.0, goal[1] - (pitch.goal_half_width - margin)]),
-                np.array([0.0, goal[1] + (pitch.goal_half_width - margin)]),
-            ]
+            corners = [(0.0, gy - (pitch.goal_half_width - margin)),
+                       (0.0, gy + (pitch.goal_half_width - margin))]
             gaps = [_segment_min_dist(def_pos, cpos, c) for c in corners]
-            aim = corners[0] if gaps[0] >= gaps[1] else corners[1]
-            aim_point = (float(aim[0]), float(aim[1]))
+            aim_point = corners[0] if gaps[0] >= gaps[1] else corners[1]
         elif option is CarrierOption.PASS:
-            tpos = state.positions[pass_target]
-            tvel = state.velocities[pass_target]
-            flight = float(np.hypot(*(tpos - cpos))) / PASS_SPEED
-            aim = tpos + 0.5 * flight * tvel  # lead the runner half a flight
-            aim_point = (float(aim[0]), float(aim[1]))
+            tx, ty = pos[pass_target]
+            tvx, tvy = state.velocities[pass_target].tolist()
+            flight = math.hypot(tx - cx, ty - cy) / PASS_SPEED
+            # lead the runner half a flight
+            aim_point = (tx + 0.5 * flight * tvx, ty + 0.5 * flight * tvy)
         else:
-            base = _unit(goal - cpos)
+            bx, by = _unit(gx - cx, gy - cy)
             if pressed_dist <= PRESS_RADIUS:
-                nearest = def_pos[np.argmin(np.hypot(def_pos[:, 0] - cpos[0],
-                                                     def_pos[:, 1] - cpos[1]))]
-                to_def = _unit(nearest - cpos)
-                if float(base @ to_def) > 0.5:
-                    cross = base[0] * to_def[1] - base[1] * to_def[0]
-                    side = -1.0 if cross > 0 else 1.0
-                    base = _rotate(base, side * 0.7)
-            dribble_dir = (float(base[0]), float(base[1]))
+                nx, ny = def_pos[def_dists.index(pressed_dist)]
+                dx, dy = _unit(nx - cx, ny - cy)
+                if bx * dx + by * dy > 0.5:
+                    side = -1.0 if bx * dy - by * dx > 0 else 1.0
+                    bx, by = _rotate(bx, by, side * 0.7)
+            dribble_dir = (bx, by)
 
     offball = _offball_targets(state)
     return AttackerIntents(
@@ -566,26 +560,29 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
     vel = state.velocities
 
     # -- defender velocities ------------------------------------------------
-    press_flags = np.zeros(n_def, dtype=bool)
+    first_att = state.gk_index + 1
+    xy = pos.tolist()   # positions hold still until the integration below
+    pressers: list[int] = []
+    rows = []
     for i in range(n_def):
         a = DefenderAction(actions[i])
-        if a is DefenderAction.STAY:
-            vel[i] = 0.0
-        elif a is DefenderAction.PRESS:
-            press_flags[i] = True
-            target = pos[state.carrier] if state.carrier is not None else state.ball_pos
-            vel[i] = _unit(target - pos[i]) * MAX_SPEED
+        if a is DefenderAction.PRESS:
+            pressers.append(i)
+            tx, ty = xy[state.carrier] if state.carrier is not None \
+                else state.ball_pos.tolist()
+            ux, uy = _unit(tx - xy[i][0], ty - xy[i][1])
+            rows.append((ux * MAX_SPEED, uy * MAX_SPEED))
         else:
-            vel[i] = _MOVE_DIRS[a.value] * MAX_SPEED
-    vel[state.gk_index] = 0.0
+            rows.append(_MOVE_VELS[a.value])
+    rows.append((0.0, 0.0))   # the goalkeeper
+    vel[:first_att] = rows
 
     # -- attacker decisions (held while a pass or shot is in flight) ---------
     pressed_now = False
     if state.carrier is not None:
-        cp = pos[state.carrier]
-        defs = pos[:state.gk_index + 1]
-        pressed_now = bool(np.min(np.hypot(defs[:, 0] - cp[0],
-                                           defs[:, 1] - cp[1])) <= PRESS_RADIUS)
+        cx, cy = xy[state.carrier]
+        pressed_now = any(math.hypot(x - cx, y - cy) <= PRESS_RADIUS
+                          for x, y in xy[:first_att])
     needs_refresh = state.intents is None or (
         state.carrier is not None
         and (state.carrier != state.intents_carrier
@@ -601,14 +598,13 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
         # release the ball on a fresh pass/shoot decision
         if intents.carrier_option in (CarrierOption.PASS, CarrierOption.SHOOT) \
                 and state.carrier is not None:
-            cpos = pos[state.carrier]
-            aim = np.array(intents.aim_point)
+            cx, cy = xy[state.carrier]
+            ax, ay = intents.aim_point
             noise = (1.0 - sc.difficulty) * NOISE_MAX
-            direction = _rotate(_unit(aim - cpos), rng.normal(0.0, noise))
+            dx, dy = _rotate(*_unit(ax - cx, ay - cy), rng.normal(0.0, noise))
             speed = SHOT_SPEED if intents.carrier_option is CarrierOption.SHOOT \
                 else PASS_SPEED
-            state.ball_vel = direction * speed
-            vel[state.carrier] = 0.0
+            state.ball_vel = np.array([dx * speed, dy * speed])
             state.kick_shield = state.carrier  # kicker cannot re-catch instantly
             state.carrier = None
             state.intents_carrier = None
@@ -617,24 +613,26 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
     # -- attacker velocities ------------------------------------------------
     att_speed = MAX_SPEED * ATTACKER_SPEED_FACTOR
     ball_flying = state.carrier is None
-    for k, idx in enumerate(state.attacker_indices):
+    targets = intents.offball_targets.tolist()
+    gx, gy = pitch.goal_center
+    rows = []
+    for k, (px, py) in enumerate(xy[first_att:]):
+        idx = first_att + k
         if idx == state.carrier:
-            if intents.dribble_dir is not None:
-                d = np.array(intents.dribble_dir)
-            else:
-                d = _unit(np.array(pitch.goal_center) - pos[idx])
-            vel[idx] = d * att_speed * DRIBBLE_SPEED_FACTOR
+            dx, dy = intents.dribble_dir or _unit(gx - px, gy - py)
+            rows.append((dx * att_speed * DRIBBLE_SPEED_FACTOR,
+                         dy * att_speed * DRIBBLE_SPEED_FACTOR))
         elif (ball_flying and intents.carrier_option is CarrierOption.PASS
                 and intents.pass_target == idx):
             # intended receiver runs to meet the pass
-            meet = state.ball_pos + 0.3 * state.ball_vel - pos[idx]
-            vel[idx] = _unit(meet) * att_speed
+            (bx, by), (bvx, bvy) = state.ball_pos.tolist(), state.ball_vel.tolist()
+            dx, dy = _unit(bx + 0.3 * bvx - px, by + 0.3 * bvy - py)
+            rows.append((dx * att_speed, dy * att_speed))
         else:
-            to_target = intents.offball_targets[k] - pos[idx]
-            if math.hypot(to_target[0], to_target[1]) > 0.5:
-                vel[idx] = _unit(to_target) * att_speed
-            else:
-                vel[idx] = 0.0
+            tx, ty = targets[k][0] - px, targets[k][1] - py
+            dx, dy = _unit(tx, ty) if math.hypot(tx, ty) > 0.5 else (0.0, 0.0)
+            rows.append((dx * att_speed, dy * att_speed))
+    vel[first_att:] = rows
 
     # -- integrate player positions (containment clamp) ----------------------
     pos += vel * DT
@@ -709,11 +707,10 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
 
     # -- press tackles -------------------------------------------------------
     if not state.terminal and state.carrier is not None:
-        cpos = pos[state.carrier]
-        for i in range(n_def):
-            if not press_flags[i]:
-                continue
-            if math.hypot(pos[i, 0] - cpos[0], pos[i, 1] - cpos[1]) > TACKLE_RADIUS:
+        cx, cy = pos[state.carrier].tolist()
+        for i in pressers:
+            x, y = pos[i].tolist()
+            if math.hypot(x - cx, y - cy) > TACKLE_RADIUS:
                 continue
             if rng.random() < TACKLE_PROB:
                 events.tackle = True

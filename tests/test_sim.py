@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -228,6 +229,45 @@ def test_determinism_same_actions_same_digest():
     assert digests[0] == digests[1]
 
 
+def _rollout_digest(runs):
+    """Play each (scenario, seed) with random actions (PRESS 30% of the time)
+    to its end; return the total steps, the last outcome and the first 16
+    hex digits of a sha256 over every step's state digest."""
+    import hashlib
+    h = hashlib.sha256()
+    steps = 0
+    for scenario, seed in runs:
+        rng = np.random.default_rng(1000 + seed)
+        st = sim.reset(scenario, seed)
+        while not st.terminal:
+            acts = [PRESS if rng.random() < 0.3
+                    else int(rng.integers(sim.N_ACTIONS))
+                    for _ in range(scenario.n_defenders)]
+            st, _ = sim.step(st, acts)
+            h.update(sim.state_digest(st).encode())
+        steps += st.step_index
+    return steps, st.outcome.kind.value, h.hexdigest()[:16]
+
+
+# the expected values were recorded with the numpy-array geometry that the
+# plain-float geometry replaced
+@pytest.mark.parametrize("teams, expected", [
+    ((2, 3), (3447, "d8399f7fa0d300c2")),
+    ((4, 6), (3052, "f71c0290b397158a")),
+])
+def test_seeded_rollouts_keep_their_pinned_digests(teams, expected):
+    runs = [(small_scenario(n_defenders=teams[0], n_attackers=teams[1],
+                            difficulty=difficulty), seed)
+            for difficulty in (0.95, 0.6, 0.05) for seed in range(12)]
+    steps, _, digest = _rollout_digest(runs)
+    assert (steps, digest) == expected
+
+
+def test_a_step_limited_rollout_keeps_its_pinned_digest():
+    sc = small_scenario(difficulty=0.3, max_episode_steps=100)
+    assert _rollout_digest([(sc, 3)]) == (100, "step_limit", "9a2254ab80c3ed58")
+
+
 # -- outcomes ---------------------------------------------------------------------------
 
 def flying_ball_state(ball_pos, ball_vel):
@@ -388,6 +428,23 @@ def _reference_offball_targets(state):
         targets[k] = cand[best]
         claimed.append(cand[best])
     return targets
+
+
+def test_dist_point_segment_of_a_degenerate_segment_is_the_distance_to_a():
+    assert sim._dist_point_segment((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == 5.0
+    # |ab|^2 = 1e-14 < 1e-12: no projection, although b is nearer than a
+    assert sim._dist_point_segment((3.0, 4.0), (0.0, 0.0), (1e-7, 0.0)) == 5.0
+
+
+@pytest.mark.parametrize("p, a, b, expected", [
+    ((-3.0, 4.0), (0.0, 0.0), (10.0, 0.0), 5.0),     # clamped to a
+    ((13.0, -4.0), (0.0, 0.0), (10.0, 0.0), 5.0),    # clamped to b
+    ((4.0, 3.0), (0.0, 0.0), (10.0, 0.0), 3.0),      # interior, along x
+    ((1.0, 3.0), (0.0, 0.0), (4.0, 4.0), math.sqrt(2.0)),  # interior, diagonal
+])
+def test_dist_point_segment_closed_forms(p, a, b, expected):
+    assert sim._dist_point_segment(p, a, b) == pytest.approx(expected, abs=1e-12)
+    assert sim._dist_point_segment(p, b, a) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_def, n_att", [(2, 3), (4, 6)])
