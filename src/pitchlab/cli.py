@@ -130,7 +130,7 @@ def _state_for_render(args) -> sim.GameState:
     learner = VDNLearner.load(args.checkpoint)
     state = sim.reset(config.scenario, args.seed)
     steps = trainer_mod.rollout(state, learner.greedy_actions)
-    for _ in itertools.islice(steps, max(args.at_step, 0)):
+    for _ in itertools.islice(steps, args.at_step):
         pass
     return state
 
@@ -199,6 +199,21 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+def _int_at_least(lo: int):
+    """An argparse type for an int >= lo; anything else is a usage error
+    (exit 2) naming the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an int >= {lo}, got {text}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
@@ -215,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated seed override")
     p.add_argument("--baseline", action="store_true",
                    help="force shaping weight to 0")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="seeds trained concurrently")
     p.set_defaults(fn=_cmd_train)
 
@@ -225,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config (YAML)")
     p.add_argument("--difficulty", type=float, default=None,
                    help="attacker difficulty (default: scenario's)")
-    p.add_argument("--episodes", type=int, default=32)
+    p.add_argument("--episodes", type=_int_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="experiment config (scenario/pass model)")
     p.add_argument("--seed", type=int, default=0, help="episode seed")
-    p.add_argument("--at-step", type=int, default=50,
+    p.add_argument("--at-step", type=_int_at_least(0), default=50,
                    help="steps to advance before rendering")
     p.add_argument("--epv-grid", default=None,
                    help="value-grid JSON file for --what epv or overlay")

@@ -195,7 +195,7 @@ def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
     `seed`; returns the mean goal difference and the records.  A shaped
     config's EPV grid is solved or read here unless `epv_values` holds it."""
     if n_episodes < 1:
-        raise ConfigError("n_episodes must be >= 1")
+        raise ConfigError(f"n_episodes: expected an int >= 1, got {n_episodes}")
     if epv_values is None:
         epv_values = _load_epv_values(config)
     tally = EpisodeTally(config, epv_values)
@@ -309,8 +309,11 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     directory behind.  A non-convergence error, in the grid's solve or in
     a seed's optimisation, and a diverging seed's DivergenceError are
     recorded as an `error` row in each seed they stop; remaining seeds
-    still run.
+    still run.  `jobs` below 1 raises ConfigError before anything is
+    written.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs: expected an int >= 1, got {jobs}")
     try:
         epv_values, unsolved = _load_epv_values(config), None
     except epv_mod.ValueIterationError as e:

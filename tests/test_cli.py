@@ -375,6 +375,25 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--jobs", "0"], "--jobs: expected an int >= 1, got 0"),
+    (["train", "--jobs", "-3"], "--jobs: expected an int >= 1, got -3"),
+    (["eval", "--checkpoint", "{tmp}/ckpt.json", "--episodes", "0"],
+     "--episodes: expected an int >= 1, got 0"),
+    (["render-field", "--checkpoint", "{tmp}/ckpt.json", "--at-step", "-5",
+      "--out", "{tmp}/scene.ppm"], "--at-step: expected an int >= 0, got -5"),
+], ids=["jobs-0", "jobs-negative", "episodes-0", "at-step-negative"])
+def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv,
+                                                     message):
+    cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv]
+             + ["--config", cfg_path])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.yaml"]
+
+
 # -- train / eval / replay / curve ---------------------------------------------------
 
 def test_train_micro_run_artifacts(tmp_path, capsys):
@@ -706,6 +725,13 @@ def test_state_file_that_is_not_json_exits_2(tmp_path, capsys):
 
 
 # -- console entry point -------------------------------------------------------------
+
+def test_python_m_pitchlab_runs():
+    proc = subprocess.run([sys.executable, "-m", "pitchlab", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: pitchlab")
+
 
 def test_installed_script_runs(tmp_path):
     out = tmp_path / "grid.json"

@@ -215,7 +215,7 @@ def test_evaluate_is_deterministic():
 
 def test_evaluate_rejects_zero_episodes():
     cfg = tiny_config()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_episodes: expected an int >= 1"):
         evaluate(fresh_learner(cfg), cfg, 0.95, 0, seed=1)
 
 
@@ -346,6 +346,14 @@ def test_shaped_seed_solves_the_epv_grid_once(tmp_path, monkeypatch):
                       eval_difficulties=(0.95, 0.6, 0.05))
     run_training(cfg, str(tmp_path))
     assert len(calls) == 1   # once per run, shared by both seeds
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_training_rejects_jobs_below_1_before_writing(tmp_path, jobs):
+    with pytest.raises(ConfigError,
+                       match=f"jobs: expected an int >= 1, got {jobs}"):
+        run_training(tiny_config(), str(tmp_path / "out"), jobs=jobs)
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_seed_writes_error_row(tmp_path, monkeypatch):
