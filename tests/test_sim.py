@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -233,7 +234,6 @@ def _rollout_digest(runs):
     """Play each (scenario, seed) with random actions (PRESS 30% of the time)
     to its end; return the total steps, the last outcome and the first 16
     hex digits of a sha256 over every step's state digest."""
-    import hashlib
     h = hashlib.sha256()
     steps = 0
     for scenario, seed in runs:
