@@ -245,11 +245,21 @@ def batch_from_transitions(transitions: list[Transition]) -> TransitionBatch:
 class ReplayBuffer:
     """Fixed-capacity ring buffer over preallocated arrays.
 
-    Every agent sees the same observation, so a step stores it once: `obs`
-    and `next_obs` are (capacity, obs_dim).  `add` takes per-agent
-    (n_agents, obs_dim) arrays and raises ShapeMismatchError unless their
-    rows are bit-identical.  `sample` hands each agent its own contiguous
-    copy, (B, n_agents, obs_dim), as a per-agent buffer would."""
+    Every agent sees the same observation, and each step's observation is
+    stored once, in the (capacity, obs_dim) `obs`.  Row i's next frame is
+    row i + 1 (mod capacity) when the step added after row i began from
+    exactly the bytes of row i's `next_obs`, as consecutive steps of one
+    episode do: the row is *linked*.  Every other row keeps its next frame
+    in `_side` (row -> the frame's bytes): terminal and step-limit rows,
+    the newest row, and rows whose successor did not chain.  Overwriting a
+    row drops what it held.  Worst case, no add ever chains and there is
+    one side frame per row, as many frames as a separate (capacity,
+    obs_dim) `next_obs` array would hold.
+
+    `add` takes per-agent (n_agents, obs_dim) arrays and raises
+    ShapeMismatchError unless their rows are bit-identical.  `sample` hands
+    each agent its own contiguous copy, (B, n_agents, obs_dim), as a
+    per-agent buffer would."""
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int):
         if capacity < 1:
@@ -259,36 +269,41 @@ class ReplayBuffer:
         self.obs = np.zeros((capacity, obs_dim))
         self.actions = np.zeros((capacity, n_agents), dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
         self.terminals = np.zeros(capacity)
+        self._side: dict[int, bytes] = {}
         self._next = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def _shared_row(self, obs: np.ndarray, name: str) -> np.ndarray:
+    def _shared_row(self, obs: np.ndarray, name: str) -> tuple[np.ndarray, bytes]:
+        """Row 0 of a per-agent array, and its bytes."""
         obs = np.asarray(obs, dtype=float)
         if obs.shape != (self.n_agents, self.obs.shape[1]):
             raise ShapeMismatchError(
                 f"{name}: expected shape {(self.n_agents, self.obs.shape[1])}, "
                 f"got {obs.shape}")
-        if obs.tobytes() != obs[0].tobytes() * self.n_agents:
+        row = obs[0].tobytes()
+        if obs.tobytes() != row * self.n_agents:
             raise ShapeMismatchError(
                 f"{name}: the agents' observation rows differ; the buffer "
                 f"stores one row shared by all agents")
-        return obs[0]
+        return obs[0], row
 
     def add(self, obs: np.ndarray, actions: np.ndarray, reward: float,
             next_obs: np.ndarray, terminal: bool) -> None:
-        row = self._shared_row(obs, "obs")   # both checked before a write
-        next_row = self._shared_row(next_obs, "next_obs")
+        row, row_bytes = self._shared_row(obs, "obs")   # both checked
+        _, next_bytes = self._shared_row(next_obs, "next_obs")   # before a write
         i = self._next
+        newest = (i - 1) % self.capacity
+        if self._side.get(newest) == row_bytes:   # it chains: link the newest row
+            del self._side[newest]
         self.obs[i] = row
         self.actions[i] = actions
         self.rewards[i] = reward
-        self.next_obs[i] = next_row
         self.terminals[i] = float(terminal)
+        self._side[i] = next_bytes
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -299,10 +314,13 @@ class ReplayBuffer:
         idx = rng.integers(0, self._size, size=batch_size)
         # per-agent copies, not broadcast views: td_update then multiplies
         # the same contiguous bytes a per-agent buffer would hand it
+        next_rows = np.take(self.obs, idx + 1, axis=0, mode="wrap")
+        for i in self._side.keys() & idx.tolist():   # rows that do not link
+            next_rows[idx == i] = np.frombuffer(self._side[i])
         return TransitionBatch(
             obs=np.repeat(self.obs[idx, None], self.n_agents, axis=1),
             actions=self.actions[idx], rewards=self.rewards[idx],
-            next_obs=np.repeat(self.next_obs[idx, None], self.n_agents, axis=1),
+            next_obs=np.repeat(next_rows[:, None], self.n_agents, axis=1),
             terminals=self.terminals[idx],
         )
 

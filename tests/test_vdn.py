@@ -627,17 +627,37 @@ def _shared_steps(n, n_agents, obs_dim, seed=0):
                np.tile(rng.normal(size=obs_dim), (n_agents, 1)), t % 7 == 6)
 
 
-def test_buffer_samples_equal_a_per_agent_buffer_after_wrap():
-    buf, ref = ReplayBuffer(50, 4, 6), PerAgentBuffer(50, 4, 6)
-    for step in _shared_steps(137, 4, 6):
-        buf.add(*step)
-        ref.add(*step)
-    assert len(buf) == ref.size == 50
-    # the one stored row is the row every agent saw
-    assert np.array_equal(buf.obs, ref.obs[:, 0])
-    assert np.array_equal(buf.next_obs, ref.next_obs[:, 0])
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    for batch_size in (1, 32, 50):
+def _chained_steps(n, n_agents, obs_dim, seed=0):
+    """Episodes as `trainer.rollout` hands them over: step t + 1 starts from
+    the very array step t ended in, with a terminal every few steps.  About
+    one step in ten breaks the chain without a terminal: it starts from a
+    fresh frame, or from the previous frame with a 0.0 flipped to -0.0
+    (equal as numbers, not as bits)."""
+    rng = np.random.default_rng(seed)
+
+    def frame():
+        row = rng.normal(size=obs_dim)
+        row[0] = 0.0
+        return np.tile(row, (n_agents, 1))
+
+    obs = frame()
+    for _ in range(n):
+        nxt = frame()
+        terminal = bool(rng.random() < 0.2)
+        yield obs, rng.integers(0, 5, size=n_agents), float(rng.normal()), \
+            nxt, terminal
+        obs = frame() if terminal else nxt
+        if rng.random() < 0.1:
+            if rng.random() < 0.5:
+                obs = frame()
+            else:
+                obs = obs.copy()
+                obs[:, 0] = -0.0
+
+
+def _assert_same_samples(buf, ref, seed, batch_sizes):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for batch_size in batch_sizes:
         batch = buf.sample(batch_size, rng)
         expected = ref.sample(batch_size, ref_rng)
         for got, want in zip((batch.obs, batch.actions, batch.rewards,
@@ -647,36 +667,85 @@ def test_buffer_samples_equal_a_per_agent_buffer_after_wrap():
             assert got.tobytes() == want.tobytes()
 
 
-def test_buffer_add_rejects_differing_agent_rows():
-    buf = ReplayBuffer(3, 2, 4)
-    for step in _shared_steps(5, 2, 4):
+def test_buffer_samples_equal_a_per_agent_buffer_after_wrap():
+    buf, ref = ReplayBuffer(50, 4, 6), PerAgentBuffer(50, 4, 6)
+    for step in _shared_steps(137, 4, 6):
         buf.add(*step)
-    stored = [a.copy() for a in (buf.obs, buf.actions, buf.rewards,
-                                 buf.next_obs, buf.terminals)]
+        ref.add(*step)
+    assert len(buf) == ref.size == 50
+    # the one stored row is the row every agent saw
+    assert np.array_equal(buf.obs, ref.obs[:, 0])
+    _assert_same_samples(buf, ref, 3, (1, 32, 50))
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 7, 50])
+def test_buffer_linked_rows_sample_as_a_per_agent_buffer(capacity):
+    buf = ReplayBuffer(capacity, 3, 5)
+    ref = PerAgentBuffer(capacity, 3, 5)
+    for t, step in enumerate(_chained_steps(8 * capacity + 40, 3, 5)):
+        buf.add(*step)
+        ref.add(*step)
+        assert len(buf) == ref.size
+        _assert_same_samples(buf, ref, t, (1, len(buf)))
+
+
+def test_buffer_keeps_a_side_frame_only_where_a_row_does_not_link():
+    buf = ReplayBuffer(50, 2, 4)
+    steps = list(_chained_steps(200, 2, 4, seed=5))
+    for step in steps:
+        buf.add(*step)
+    kept = steps[-50:]
+    unlinked = [i for i, (step, after) in enumerate(zip(kept, kept[1:]))
+                if after[0].tobytes() != step[3].tobytes()]
+    assert 0 < len(unlinked) < 25
+    # the buffer wrapped to row 0 four times: step k of `kept` sits in row k
+    assert sorted(buf._side) == [*unlinked, 49]
+
+
+def test_buffer_add_rejects_differing_agent_rows():
+    buf, ref = ReplayBuffer(3, 2, 4), PerAgentBuffer(3, 2, 4)
+    steps = _chained_steps(12, 2, 4, seed=1)
+    for step in itertools.islice(steps, 5):
+        buf.add(*step)
+        ref.add(*step)
+    last_next = step[3]             # the next add would chain from it
     same = np.tile(np.arange(4.0), (2, 1))
-    differ = same.copy()
+    differ = last_next.copy()
     differ[1, 2] += 1e-12
-    signed = np.zeros((2, 4))
-    signed[1, 0] = -0.0            # equal as numbers, not as bits
+    signed = last_next.copy()
+    signed[1, 0] = -0.0             # equal to 0.0 as a number, not as bits
     for bad in (differ, signed):
         with pytest.raises(ShapeMismatchError, match="^obs:"):
             buf.add(bad, np.array([0, 1]), 0.0, same, False)
         with pytest.raises(ShapeMismatchError, match="^next_obs:"):
-            buf.add(same, np.array([0, 1]), 0.0, bad, False)
+            buf.add(last_next, np.array([0, 1]), 0.0, bad, False)
     with pytest.raises(ShapeMismatchError, match="^obs:"):
         buf.add(np.arange(4.0), np.array([0, 1]), 0.0, same, False)
-    # a rejected step leaves every slot of the full buffer as it was
+    # a rejected step leaves the full buffer's samples as they were, and
+    # the next step still chains
     assert len(buf) == 3
-    for before, after in zip(stored, (buf.obs, buf.actions, buf.rewards,
-                                      buf.next_obs, buf.terminals)):
-        assert np.array_equal(before, after)
+    _assert_same_samples(buf, ref, 7, (1, 3, 3))
+    for step in steps:
+        buf.add(*step)
+        ref.add(*step)
+        _assert_same_samples(buf, ref, 8, (1, 3))
 
 
 def test_buffer_stores_one_observation_row_per_step():
     buf = ReplayBuffer(capacity=100, n_agents=4, obs_dim=118)
-    for arr in (buf.obs, buf.next_obs):
-        assert arr.shape == (100, 118)
-        assert arr.nbytes == 100 * 118 * 8
+    ref = PerAgentBuffer(capacity=100, n_agents=4, obs_dim=118)
+    frames = [np.tile(np.full(118, float(t)), (4, 1)) for t in range(101)]
+    for t in range(100):
+        step = (frames[t], np.zeros(4, dtype=np.int64), 0.0, frames[t + 1],
+                t == 99)
+        buf.add(*step)
+        ref.add(*step)
+    arrays = [v for v in vars(buf).values() if isinstance(v, np.ndarray)]
+    observations = [a for a in arrays if a.shape == (100, 118)]
+    assert len(observations) == 1 and observations[0].nbytes == 100 * 118 * 8
+    # one episode chains every row to the next but its last
+    assert list(buf._side) == [99]
+    _assert_same_samples(buf, ref, 0, (100,))
 
 
 def test_buffer_rejects_zero_capacity():
