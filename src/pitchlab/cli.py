@@ -12,6 +12,7 @@ import argparse
 import glob
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -214,6 +215,23 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _finite(expected: str, ok=lambda value: True):
+    """An argparse type for a finite float that passes `ok`; anything else
+    is a usage error (exit 2) naming the flag and `expected`."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    return parse
+
+
+_DIFFICULTY = _finite("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
@@ -238,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate a checkpoint greedily")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", required=True, help="experiment config (YAML)")
-    p.add_argument("--difficulty", type=float, default=None,
+    p.add_argument("--difficulty", type=_DIFFICULTY, default=None,
                    help="attacker difficulty (default: scenario's)")
     p.add_argument("--episodes", type=_int_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=0)
@@ -249,8 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="CSV with header x,k")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--init-sigma", type=float, default=1.0)
-    p.add_argument("--init-lambda", type=float, default=0.0)
+    p.add_argument("--init-sigma", type=_finite("a finite number > 0",
+                                                lambda value: value > 0),
+                   default=1.0)
+    p.add_argument("--init-lambda", type=_finite("a finite number"),
+                   default=0.0)
     p.set_defaults(fn=_cmd_fit_pass_model)
 
     p = sub.add_parser("solve-epv", formatter_class=fmt,
@@ -283,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--difficulty", type=float, default=None)
+    p.add_argument("--difficulty", type=_DIFFICULTY, default=None)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(fn=_cmd_replay)
 
@@ -292,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", nargs="+", required=True,
                    help="run directories (containing seed-*/metrics.jsonl)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--difficulty", type=float, default=None,
+    p.add_argument("--difficulty", type=_DIFFICULTY, default=None,
                    help="restrict to one evaluation difficulty")
     p.set_defaults(fn=_cmd_curve)
     return parser

@@ -394,6 +394,62 @@ def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv,
     assert os.listdir(tmp_path) == ["config.yaml"]
 
 
+_DIFFICULTY_MESSAGE = "--difficulty: expected a number in [0, 1], got {}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--checkpoint", "{tmp}/ckpt.json", "--config", "{cfg}",
+      "--difficulty", "1.5"], _DIFFICULTY_MESSAGE.format("1.5")),
+    (["eval", "--checkpoint", "{tmp}/ckpt.json", "--config", "{cfg}",
+      "--difficulty", "-0.1"], _DIFFICULTY_MESSAGE.format("-0.1")),
+    (["replay", "--checkpoint", "{tmp}/ckpt.json", "--config", "{cfg}",
+      "--difficulty", "nan", "--out", "{tmp}/ep.jsonl"],
+     _DIFFICULTY_MESSAGE.format("nan")),
+    (["curve", "--runs", "{tmp}", "--out", "{tmp}/curve.csv",
+      "--difficulty", "1.5"], _DIFFICULTY_MESSAGE.format("1.5")),
+    (["curve", "--runs", "{tmp}", "--out", "{tmp}/curve.csv",
+      "--difficulty", "nan"], _DIFFICULTY_MESSAGE.format("nan")),
+    (["curve", "--runs", "{tmp}", "--out", "{tmp}/curve.csv",
+      "--difficulty", "high"], _DIFFICULTY_MESSAGE.format("high")),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
+      "{tmp}/fit.json", "--init-sigma", "-1"],
+     "--init-sigma: expected a finite number > 0, got -1"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
+      "{tmp}/fit.json", "--init-sigma", "0"],
+     "--init-sigma: expected a finite number > 0, got 0"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
+      "{tmp}/fit.json", "--init-sigma", "inf"],
+     "--init-sigma: expected a finite number > 0, got inf"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
+      "{tmp}/fit.json", "--init-lambda", "nan"],
+     "--init-lambda: expected a finite number, got nan"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
+      "{tmp}/fit.json", "--init-lambda", "1e400"],
+     "--init-lambda: expected a finite number, got 1e400"),
+], ids=["eval-difficulty-1.5", "eval-difficulty-negative",
+        "replay-difficulty-nan", "curve-difficulty-1.5", "curve-difficulty-nan",
+        "curve-difficulty-word", "init-sigma-negative", "init-sigma-0",
+        "init-sigma-inf", "init-lambda-nan", "init-lambda-overflow"])
+def test_float_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv,
+                                                   message):
+    cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path, cfg=cfg_path) for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.yaml"]
+
+
+@pytest.mark.parametrize("text, value", [("0", 0.0), ("1", 1.0), ("0.6", 0.6)])
+def test_difficulty_flags_take_the_closed_unit_interval(text, value):
+    parser = cli.build_parser()
+    for argv in (["eval", "--checkpoint", "c", "--config", "y"],
+                 ["replay", "--checkpoint", "c", "--config", "y", "--out", "o"],
+                 ["curve", "--runs", "r", "--out", "o"]):
+        assert parser.parse_args([*argv, "--difficulty", text]).difficulty \
+            == value
+
+
 # -- train / eval / replay / curve ---------------------------------------------------
 
 def test_train_micro_run_artifacts(tmp_path, capsys):
