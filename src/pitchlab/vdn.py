@@ -277,8 +277,8 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _shared_row(self, obs: np.ndarray, name: str) -> tuple[np.ndarray, bytes]:
-        """Row 0 of a per-agent array, and its bytes."""
+    def _shared_row(self, obs: np.ndarray, name: str) -> bytes:
+        """The bytes of the one row every agent's row equals."""
         obs = np.asarray(obs, dtype=float)
         if obs.shape != (self.n_agents, self.obs.shape[1]):
             raise ShapeMismatchError(
@@ -289,21 +289,21 @@ class ReplayBuffer:
             raise ShapeMismatchError(
                 f"{name}: the agents' observation rows differ; the buffer "
                 f"stores one row shared by all agents")
-        return obs[0], row
+        return row
 
     def add(self, obs: np.ndarray, actions: np.ndarray, reward: float,
             next_obs: np.ndarray, terminal: bool) -> None:
-        row, row_bytes = self._shared_row(obs, "obs")   # both checked
-        _, next_bytes = self._shared_row(next_obs, "next_obs")   # before a write
+        row = self._shared_row(obs, "obs")   # both checked before a write
+        next_row = self._shared_row(next_obs, "next_obs")
         i = self._next
         newest = (i - 1) % self.capacity
-        if self._side.get(newest) == row_bytes:   # it chains: link the newest row
+        if self._side.get(newest) == row:   # it chains: link the newest row
             del self._side[newest]
-        self.obs[i] = row
+        self.obs[i] = np.frombuffer(row)
         self.actions[i] = actions
         self.rewards[i] = reward
         self.terminals[i] = float(terminal)
-        self._side[i] = next_bytes
+        self._side[i] = next_row
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -312,11 +312,11 @@ class ReplayBuffer:
             raise ValueError(
                 f"batch size {batch_size} exceeds buffer size {self._size}")
         idx = rng.integers(0, self._size, size=batch_size)
-        # per-agent copies, not broadcast views: td_update then multiplies
-        # the same contiguous bytes a per-agent buffer would hand it
         next_rows = np.take(self.obs, idx + 1, axis=0, mode="wrap")
         for i in self._side.keys() & idx.tolist():   # rows that do not link
             next_rows[idx == i] = np.frombuffer(self._side[i])
+        # per-agent copies, not broadcast views: td_update then multiplies
+        # the same contiguous bytes a per-agent buffer would hand it
         return TransitionBatch(
             obs=np.repeat(self.obs[idx, None], self.n_agents, axis=1),
             actions=self.actions[idx], rewards=self.rewards[idx],
