@@ -708,7 +708,7 @@ def test_buffer_add_rejects_differing_agent_rows():
     for step in itertools.islice(steps, 5):
         buf.add(*step)
         ref.add(*step)
-    last_next = step[3]             # the next add would chain from it
+    last_next = step[3]             # an add from it would chain
     same = np.tile(np.arange(4.0), (2, 1))
     differ = last_next.copy()
     differ[1, 2] += 1e-12
@@ -722,7 +722,7 @@ def test_buffer_add_rejects_differing_agent_rows():
     with pytest.raises(ShapeMismatchError, match="^obs:"):
         buf.add(np.arange(4.0), np.array([0, 1]), 0.0, same, False)
     # a rejected step leaves the full buffer's samples as they were, and
-    # the next step still chains
+    # the steps added after it sample as the reference's do
     assert len(buf) == 3
     _assert_same_samples(buf, ref, 7, (1, 3, 3))
     for step in steps:
