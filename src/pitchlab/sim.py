@@ -1005,20 +1005,3 @@ def snapshot(state: GameState) -> dict:
         "terminal": state.terminal,
     }
 
-
-def state_digest(state: GameState) -> str:
-    """Hex digest over every dynamic field, for bit-identity checks."""
-    import hashlib
-    h = hashlib.sha256()
-    h.update(state.positions.tobytes())
-    h.update(state.velocities.tobytes())
-    h.update(state.ball_pos.tobytes())
-    h.update(state.ball_vel.tobytes())
-    h.update(str(state.carrier).encode())
-    h.update(str(state.kick_shield).encode())
-    h.update(str(state.step_index).encode())
-    h.update(json.dumps(state.rng.bit_generator.state, sort_keys=True).encode())
-    h.update(str(state.terminal).encode())
-    h.update(str(state.outcome).encode())
-    h.update(json.dumps(state.score_events, sort_keys=True).encode())
-    return h.hexdigest()
