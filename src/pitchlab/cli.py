@@ -26,8 +26,7 @@ from . import sim
 from . import trainer as trainer_mod
 from .sim import (ConfigError, PitchSpec, ScenarioConfig, config_from_dict,
                   config_to_dict)
-from .vdn import (CheckpointFormatError, DivergenceError, ShapeMismatchError,
-                  VDNLearner)
+from .vdn import CheckpointFormatError, DivergenceError, ShapeMismatchError
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
                   yaml.YAMLError)
@@ -128,7 +127,7 @@ def _state_for_render(args) -> sim.GameState:
     if not args.config:
         raise ConfigError("--checkpoint rendering needs --config for the scenario")
     config = load_experiment(args.config)
-    learner = VDNLearner.load(args.checkpoint)
+    learner = trainer_mod.load_checkpoint(args.checkpoint, config.scenario)
     state = sim.reset(config.scenario, args.seed)
     steps = trainer_mod.rollout(state, learner.greedy_actions)
     for _ in itertools.islice(steps, args.at_step):
@@ -169,7 +168,7 @@ def _cmd_replay(args) -> int:
     scenario = config.scenario
     if args.difficulty is not None:
         scenario = replace(scenario, difficulty=args.difficulty)
-    learner = VDNLearner.load(args.checkpoint)
+    learner = trainer_mod.load_checkpoint(args.checkpoint, scenario)
     state = sim.reset(scenario, args.seed)
     with sim.open_atomic(args.out) as f:
         for _, actions, events, _ in trainer_mod.rollout(

@@ -23,8 +23,8 @@ from . import reward as reward_mod
 from . import sim
 from .sim import (ConfigError, GameState, ScenarioConfig, config_from_dict,
                   config_to_dict)
-from .vdn import (DivergenceError, LearnerConfig, ReplayBuffer, TrainConfig,
-                  VDNLearner)
+from .vdn import (DivergenceError, ReplayBuffer, ShapeMismatchError,
+                  TrainConfig, VDNLearner)
 
 # evaluation episode seeds come from train_seed XOR this constant, keeping
 # the two seed streams disjoint for any training seed
@@ -113,7 +113,7 @@ def _jsonl(doc: dict) -> str:
 
 def per_agent_observations(scenario: ScenarioConfig,
                            obs: np.ndarray) -> np.ndarray:
-    """(n_defenders, obs_dim): one copy of the flat observation per agent."""
+    """(n_defenders, obs_dim) tile of obs; only perfbench/spans.py uses it."""
     out = np.empty((scenario.n_defenders, obs.shape[0]))
     out[:] = obs
     return out
@@ -176,13 +176,13 @@ class EpisodeTally:
 
 def rollout(state: GameState, act):
     """Plays `state` to its end, advancing it in place.  Each step hands the
-    per-agent observations to `act` for the actions, steps the simulator and
-    yields (obs, actions, events, next_obs)."""
-    obs = per_agent_observations(state.scenario, sim.observe(state))
+    (obs_dim,) observation every defender reads to `act` for the actions,
+    steps the simulator and yields (obs, actions, events, next_obs)."""
+    obs = sim.observe(state)
     while not state.terminal:
         actions = act(obs)
         _, events = sim.step(state, actions)
-        next_obs = per_agent_observations(state.scenario, sim.observe(state))
+        next_obs = sim.observe(state)
         yield obs, actions, events, next_obs
         obs = next_obs
 
@@ -212,10 +212,26 @@ def evaluate(learner: VDNLearner, config: ExperimentConfig, difficulty: float,
     return mean_gd, records
 
 
+def load_checkpoint(path: str, scenario: ScenarioConfig) -> VDNLearner:
+    """VDNLearner.load, then ShapeMismatchError naming the file unless it
+    fits the scenario: acting hands every agent one row, so no later step
+    would catch a wrong agent count."""
+    learner = VDNLearner.load(path)
+    cfg, obs_len = learner.config, sim.observation_length(scenario)
+    if (cfg.n_agents, cfg.obs_dim, cfg.n_actions) != (
+            scenario.n_defenders, obs_len, sim.N_ACTIONS):
+        raise ShapeMismatchError(
+            f"{path}: n_agents {cfg.n_agents} vs n_defenders "
+            f"{scenario.n_defenders}, obs_dim {cfg.obs_dim} vs "
+            f"observation_length {obs_len}, n_actions {cfg.n_actions} vs "
+            f"N_ACTIONS {sim.N_ACTIONS}")
+    return learner
+
+
 def evaluate_checkpoint(ckpt_path: str, config: ExperimentConfig,
                         difficulty: float, n_episodes: int,
                         seed: int) -> tuple[float, list[EpisodeRecord]]:
-    learner = VDNLearner.load(ckpt_path)
+    learner = load_checkpoint(ckpt_path, config.scenario)
     return evaluate(learner, config, difficulty, n_episodes, seed)
 
 

@@ -167,18 +167,17 @@ def joint_q(per_agent_values) -> float:
 
 def mlp_forward(params: QNetwork, x: np.ndarray,
                 cache: list | None = None) -> np.ndarray:
-    """Q-values for a single observation (D,) or a batch (B, D); a stacked
-    network takes (A, B, D) and returns (A, B, n_actions).  A `cache` list
+    """Q-values for one observation (D,) or a batch (B, D); a stacked
+    network takes per-agent batches (A, B, D) or one (B, D) batch for all
+    agents, not a (D,) row, and returns (A, B, n_actions).  A `cache` list
     collects each layer's (input, pre-activation) pair for _backward."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     w0 = params.weights[0]
-    if x.ndim != w0.ndim or x.shape[-1] != w0.shape[-2]:
+    if x.ndim not in (w0.ndim - 1, w0.ndim) or x.shape[-1] != w0.shape[-2]:
         raise ShapeMismatchError(
             f"expected input width {w0.shape[-2]}, got {x.shape}")
-    h = x
+    single = x.ndim == 1
+    h = x[None, :] if single else x
     last = len(params.weights) - 1
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b[..., None, :]
@@ -225,10 +224,10 @@ class Transition:
 
 @dataclass
 class TransitionBatch:
-    obs: np.ndarray        # (B, n_agents, obs_dim)
+    obs: np.ndarray        # (B, obs_dim) shared, or (B, n_agents, obs_dim)
     actions: np.ndarray    # (B, n_agents)
     rewards: np.ndarray    # (B,)
-    next_obs: np.ndarray   # (B, n_agents, obs_dim)
+    next_obs: np.ndarray   # (B, obs_dim) shared, or (B, n_agents, obs_dim)
     terminals: np.ndarray  # (B,) float 0/1
 
 
@@ -256,10 +255,10 @@ class ReplayBuffer:
     one side frame per row, as many frames as a separate (capacity,
     obs_dim) `next_obs` array would hold.
 
-    `add` takes per-agent (n_agents, obs_dim) arrays and raises
-    ShapeMismatchError unless their rows are bit-identical.  `sample` hands
-    each agent its own contiguous copy, (B, n_agents, obs_dim), as a
-    per-agent buffer would."""
+    `add` takes the (obs_dim,) rows the training loop observes, or
+    per-agent (n_agents, obs_dim) arrays whose rows must be bit-identical
+    (else ShapeMismatchError).  `sample` returns `obs` and `next_obs` as
+    (B, obs_dim) rows."""
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int):
         if capacity < 1:
@@ -280,10 +279,12 @@ class ReplayBuffer:
     def _shared_row(self, obs: np.ndarray, name: str) -> bytes:
         """The bytes of the one row every agent's row equals."""
         obs = np.asarray(obs, dtype=float)
-        if obs.shape != (self.n_agents, self.obs.shape[1]):
+        if obs.shape == self.obs.shape[1:]:
+            return obs.tobytes()
+        if obs.shape != (self.n_agents, *self.obs.shape[1:]):
             raise ShapeMismatchError(
-                f"{name}: expected shape {(self.n_agents, self.obs.shape[1])}, "
-                f"got {obs.shape}")
+                f"{name}: expected shape {self.obs.shape[1:]} or "
+                f"{(self.n_agents, *self.obs.shape[1:])}, got {obs.shape}")
         row = obs[0].tobytes()
         if obs.tobytes() != row * self.n_agents:
             raise ShapeMismatchError(
@@ -315,12 +316,9 @@ class ReplayBuffer:
         next_rows = np.take(self.obs, idx + 1, axis=0, mode="wrap")
         for i in self._side.keys() & idx.tolist():   # rows that do not link
             next_rows[idx == i] = np.frombuffer(self._side[i])
-        # per-agent copies, not broadcast views: td_update then multiplies
-        # the same contiguous bytes a per-agent buffer would hand it
         return TransitionBatch(
-            obs=np.repeat(self.obs[idx, None], self.n_agents, axis=1),
-            actions=self.actions[idx], rewards=self.rewards[idx],
-            next_obs=np.repeat(next_rows[:, None], self.n_agents, axis=1),
+            obs=self.obs[idx], actions=self.actions[idx],
+            rewards=self.rewards[idx], next_obs=next_rows,
             terminals=self.terminals[idx],
         )
 
@@ -365,13 +363,15 @@ class VDNLearner:
     # -- acting ---------------------------------------------------------------
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        """(n_agents, n_actions) values for per-agent observations (A, D)."""
+        """(n_agents, n_actions) values for the one observation (D,) every
+        agent reads, or for per-agent observations (A, D)."""
         obs = np.asarray(obs, dtype=float)
-        if obs.shape != (self.config.n_agents, self.config.obs_dim):
+        cfg = self.config
+        if obs.shape not in ((cfg.obs_dim,), (cfg.n_agents, cfg.obs_dim)):
             raise ShapeMismatchError(
-                f"expected obs shape {(self.config.n_agents, self.config.obs_dim)}, "
-                f"got {obs.shape}")
-        return mlp_forward(self.online, obs[:, None, :])[:, 0, :]
+                f"expected obs shape {(cfg.obs_dim,)} or "
+                f"{(cfg.n_agents, cfg.obs_dim)}, got {obs.shape}")
+        return mlp_forward(self.online, obs[..., None, :])[:, 0, :]
 
     def chosen_joint_q(self, obs: np.ndarray, actions: np.ndarray) -> float:
         """Sum over agents of each agent's value for its chosen action."""
@@ -404,17 +404,19 @@ class VDNLearner:
 
     def _td_errors(self, batch: TransitionBatch) -> tuple[np.ndarray, list]:
         """TD errors (B,) and the online forward cache; agent sums run in
-        agent order, as a per-agent loop adds them."""
+        agent order, as a per-agent loop adds them.  A shared (B, D) batch
+        goes to the networks as it is, a per-agent one agent-major."""
         cfg = self.config
-        if batch.obs.shape[1:] != (cfg.n_agents, cfg.obs_dim):
+        if batch.obs.shape[1:] not in ((cfg.obs_dim,),
+                                       (cfg.n_agents, cfg.obs_dim)):
             raise ShapeMismatchError(
-                f"batch obs shaped {batch.obs.shape}, expected "
-                f"(B, {cfg.n_agents}, {cfg.obs_dim})")
+                f"batch obs shaped {batch.obs.shape}, expected (B, "
+                f"{cfg.obs_dim}) or (B, {cfg.n_agents}, {cfg.obs_dim})")
         cache: list = []
-        q = mlp_forward(self.online, batch.obs.swapaxes(0, 1), cache)
+        q = mlp_forward(self.online, np.moveaxis(batch.obs, -2, 0), cache)
         chosen = np.take_along_axis(q, batch.actions.T[:, :, None], axis=2)
         pred = chosen[:, :, 0].sum(axis=0)
-        next_q = mlp_forward(self.target, batch.next_obs.swapaxes(0, 1))
+        next_q = mlp_forward(self.target, np.moveaxis(batch.next_obs, -2, 0))
         next_max = next_q.max(axis=2).sum(axis=0)
         y = batch.rewards + cfg.gamma * (1.0 - batch.terminals) * next_max
         return pred - y, cache

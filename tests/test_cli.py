@@ -656,6 +656,34 @@ def test_replay_with_a_checkpoint_that_does_not_fit_keeps_the_old_file(
                                             "episode.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["eval", "replay", "render-field"])
+@pytest.mark.parametrize("n_agents, obs_dim, n_actions", [
+    (3, 34, sim.N_ACTIONS), (2, 59, sim.N_ACTIONS), (2, 34, sim.N_ACTIONS + 3)])
+def test_a_checkpoint_for_another_scenario_stops_before_the_first_step(
+        tmp_path, capsys, command, n_agents, obs_dim, n_actions):
+    # 3 defenders and 2 attackers observe 34 numbers, as 2 and 3 do
+    doc = micro_config_dict()
+    doc["scenario"].update(n_defenders=2, n_attackers=3)
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    ckpt = str(tmp_path / "ckpt.json")
+    VDNLearner(LearnerConfig(n_agents=n_agents, obs_dim=obs_dim,
+                             n_actions=n_actions, hidden=(4,)),
+               seed=0).save(ckpt)
+    out = tmp_path / "old.out"
+    out.write_text("a previous output\n")
+    argv = [command, "--checkpoint", ckpt, "--config", cfg_path]
+    if command != "eval":
+        argv += ["--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"ShapeMismatchError: {ckpt}: n_agents {n_agents} vs n_defenders " \
+        f"2, obs_dim {obs_dim} vs observation_length 34, n_actions " \
+        f"{n_actions} vs N_ACTIONS {sim.N_ACTIONS}" in err
+    assert out.read_text() == "a previous output\n"
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "config.yaml",
+                                            "old.out"]
+
+
 def test_render_without_state_or_checkpoint_exits_2(tmp_path, capsys):
     rc = main(["render-field", "--what", "control",
                "--out", str(tmp_path / "x.ppm")])

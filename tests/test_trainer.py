@@ -90,6 +90,26 @@ def test_per_agent_observations_is_a_writable_contiguous_tile():
     assert out[1, 0] == before[0] and obs[0] == before[0]
 
 
+def test_rollout_yields_the_observation_row_sim_observe_gives():
+    sc = tiny_scenario(n_defenders=2, n_attackers=3)
+    state, twin = sim.reset(sc, 4), sim.reset(sc, 4)
+    handed = []
+
+    def act(obs):
+        handed.append(obs)
+        return np.full(sc.n_defenders, sim.DefenderAction.PRESS.value)
+
+    steps = 0
+    for obs, actions, _, next_obs in trainer.rollout(state, act):
+        assert obs is handed[-1]
+        assert obs.shape == next_obs.shape == (sim.observation_length(sc),)
+        assert obs.tobytes() == sim.observe(twin).tobytes()
+        sim.step(twin, actions)
+        assert next_obs.tobytes() == sim.observe(twin).tobytes()
+        steps += 1
+    assert steps == state.step_index == twin.step_index > 1
+
+
 # -- experiment config ----------------------------------------------------------------
 
 def test_config_dict_roundtrip():

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import itertools
 import json
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from pitchlab import vdn
-from pitchlab.sim import ConfigError, config_to_dict
+from pitchlab.sim import N_ACTIONS, ConfigError, config_to_dict
 from pitchlab.vdn import (
     EPSILON_END,
     EPSILON_START,
@@ -131,6 +132,21 @@ def test_forward_rejects_wrong_width():
     net = init_mlp([4, 6, 3], np.random.default_rng(2))
     with pytest.raises(ShapeMismatchError):
         mlp_forward(net, np.zeros(5))
+
+
+def test_stacked_forward_takes_a_shared_batch_but_not_a_single_row():
+    cfg = tiny_config(n_agents=3, obs_dim=4)
+    learner = VDNLearner(cfg, seed=0)
+    x = np.random.default_rng(1).normal(size=(5, cfg.obs_dim))
+    q = mlp_forward(learner.online, x)
+    assert q.shape == (3, 5, cfg.n_actions)
+    assert q.tobytes() == mlp_forward(learner.online, np.stack([x] * 3)).tobytes()
+    # a stacked net must not hand back agent 0's values for one row
+    with pytest.raises(ShapeMismatchError):
+        mlp_forward(learner.online, np.zeros(cfg.obs_dim))
+    # and a plain net takes no agent axis
+    with pytest.raises(ShapeMismatchError):
+        mlp_forward(learner.online[0], np.zeros((1, 2, cfg.obs_dim)))
 
 
 def test_q_values_rejects_wrong_agent_count():
@@ -385,29 +401,60 @@ def assert_nets_identical(nets_a, nets_b):
     for na, nb in zip(nets_a, nets_b):
         for wa, wb in zip((*na.weights, *na.biases), (*nb.weights, *nb.biases)):
             assert wa.shape == wb.shape
-            assert np.array_equal(wa, wb)
+            assert wa.tobytes() == wb.tobytes()
 
 
-def test_stacked_learner_is_bit_identical_to_per_agent_loop():
-    cfg = LearnerConfig(n_agents=3, obs_dim=5, n_actions=4, hidden=(6, 4),
-                        lr=0.05, grad_clip=0.05)
+def shared_inputs(obs, batch):
+    """Agent 0's rows as the training loop feeds them, a (D,) observation
+    and a (B, D) batch, and the same rows tiled per agent, (A, D) and
+    (B, A, D)."""
+    one = dataclasses.replace(batch, obs=batch.obs[:, 0].copy(),
+                              next_obs=batch.next_obs[:, 0].copy())
+    tiled = dataclasses.replace(
+        one, obs=np.repeat(one.obs[:, None], len(obs), axis=1),
+        next_obs=np.repeat(one.next_obs[:, None], len(obs), axis=1))
+    return (obs[0].copy(), one), (np.tile(obs[0], (len(obs), 1)), tiled)
+
+
+LEARNER_SHAPES = {
+    "small": dict(n_agents=3, obs_dim=5, n_actions=4, hidden=(6, 4)),
+    "desk_2v3": dict(n_agents=2, obs_dim=34, n_actions=N_ACTIONS,
+                     hidden=(64, 64)),
+    "full_4v6": dict(n_agents=4, obs_dim=59, n_actions=N_ACTIONS,
+                     hidden=(128, 128)),
+}
+
+
+@pytest.mark.parametrize("shape, shared", [
+    ("small", False), ("small", True), ("desk_2v3", True), ("full_4v6", True)])
+def test_stacked_learner_is_bit_identical_to_per_agent_loop(shape, shared):
+    # shared: the learner reads one row per step, as training feeds it, and
+    # the per-agent loop reads that row tiled to every agent
+    cfg = LearnerConfig(**LEARNER_SHAPES[shape], lr=0.05, grad_clip=0.05)
     learner, ref = VDNLearner(cfg, seed=11), PerAgentReference(cfg, seed=11)
     assert_nets_identical(learner.agents, ref.agents)
     rng = np.random.default_rng(12)
-    shared = np.broadcast_to(rng.normal(size=cfg.obs_dim),
-                             (cfg.n_agents, cfg.obs_dim))
+    broadcast = np.broadcast_to(rng.normal(size=cfg.obs_dim),
+                                (cfg.n_agents, cfg.obs_dim))
     clipped = 0
     for step in range(6):
         obs = rng.normal(size=(cfg.n_agents, cfg.obs_dim))
-        for o in (obs, shared):
-            assert np.array_equal(learner.q_values(o), ref.q_values(o))
         batch = random_batch(cfg, rng, size=8, terminal_frac=0.3)
+        if shared:
+            (obs, batch), (ref_obs, ref_batch) = shared_inputs(obs, batch)
+            pairs = [(obs, ref_obs)]
+        else:
+            ref_batch = batch
+            pairs = [(obs, obs), (broadcast, broadcast)]
+        for o, ref_o in pairs:
+            assert learner.q_values(o).tobytes() == ref.q_values(ref_o).tobytes()
         loss, grads = learner.td_grads(batch)
-        ref_loss, ref_grads = ref.td_grads(batch)
+        ref_loss, ref_grads = ref.td_grads(ref_batch)
         assert loss == ref_loss == learner.td_loss(batch)
         assert_nets_identical([grads[a] for a in range(cfg.n_agents)],
                               ref_grads)
-        ref_loss, norm = ref.td_update(batch)
+        ref_loss, norm = ref.td_update(ref_batch)
+        assert vdn.grad_norm(grads) == norm
         assert learner.td_update(batch) == ref_loss
         clipped += norm > cfg.grad_clip
         assert_nets_identical(learner.agents, ref.agents)
@@ -587,7 +634,7 @@ def test_buffer_sample_shapes_and_guard():
     for i in range(5):
         buf.add(np.zeros((2, 3)), np.array([0, 1]), 0.0, np.zeros((2, 3)), False)
     batch = buf.sample(4, rng)
-    assert batch.obs.shape == (4, 2, 3)
+    assert batch.obs.shape == batch.next_obs.shape == (4, 3)
     assert batch.actions.shape == (4, 2)
     assert batch.rewards.shape == (4,)
     assert batch.terminals.shape == (4,)
@@ -662,9 +709,14 @@ def _assert_same_samples(buf, ref, seed, batch_sizes):
         expected = ref.sample(batch_size, ref_rng)
         for got, want in zip((batch.obs, batch.actions, batch.rewards,
                               batch.next_obs, batch.terminals), expected):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            # an observation comes out as one (B, obs_dim) row, which every
+            # agent's row of the reference equals
+            rows = ([want[:, a] for a in range(want.shape[1])]
+                    if want.ndim == 3 else [want])
+            for row in rows:
+                assert got.shape == row.shape
+                assert got.tobytes() == row.tobytes()
 
 
 def test_buffer_samples_equal_a_per_agent_buffer_after_wrap():
@@ -687,6 +739,22 @@ def test_buffer_linked_rows_sample_as_a_per_agent_buffer(capacity):
         ref.add(*step)
         assert len(buf) == ref.size
         _assert_same_samples(buf, ref, t, (1, len(buf)))
+
+
+def test_buffer_one_row_add_stores_and_links_as_its_tiled_add():
+    one, tiled = ReplayBuffer(7, 3, 5), ReplayBuffer(7, 3, 5)
+    for obs, actions, reward, next_obs, terminal in _chained_steps(60, 3, 5):
+        one.add(obs[0], actions, reward, next_obs[0], terminal)
+        tiled.add(obs, actions, reward, next_obs, terminal)
+        assert len(one) == len(tiled)
+        for name in ("obs", "actions", "rewards", "terminals"):
+            assert getattr(one, name).tobytes() == getattr(tiled, name).tobytes()
+        assert one._side == tiled._side
+    assert 0 < len(one._side) < 7
+    got, want = (buf.sample(7, np.random.default_rng(4)) for buf in (one, tiled))
+    for field in dataclasses.fields(got):
+        name = field.name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_buffer_keeps_a_side_frame_only_where_a_row_does_not_link():
@@ -719,8 +787,11 @@ def test_buffer_add_rejects_differing_agent_rows():
             buf.add(bad, np.array([0, 1]), 0.0, same, False)
         with pytest.raises(ShapeMismatchError, match="^next_obs:"):
             buf.add(last_next, np.array([0, 1]), 0.0, bad, False)
-    with pytest.raises(ShapeMismatchError, match="^obs:"):
-        buf.add(np.arange(4.0), np.array([0, 1]), 0.0, same, False)
+    for bad in (np.arange(3.0), np.zeros((3, 4)), np.zeros((1, 4))):
+        with pytest.raises(ShapeMismatchError, match="^obs:"):
+            buf.add(bad, np.array([0, 1]), 0.0, same, False)
+        with pytest.raises(ShapeMismatchError, match="^next_obs:"):
+            buf.add(last_next, np.array([0, 1]), 0.0, bad, False)
     # a rejected step leaves the full buffer's samples as they were, and
     # the steps added after it sample as the reference's do
     assert len(buf) == 3
