@@ -24,8 +24,7 @@ from . import pitch_control as pc
 from . import render
 from . import sim
 from . import trainer as trainer_mod
-from .sim import (ConfigError, PitchSpec, ScenarioConfig, config_from_dict,
-                  config_to_dict)
+from .sim import ConfigError, PitchSpec, config_to_dict
 from .vdn import CheckpointFormatError, DivergenceError, ShapeMismatchError
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
@@ -101,17 +100,9 @@ def _cmd_fit_pass_model(args) -> int:
     return 0
 
 
-def _pitch_from_args(args) -> PitchSpec:
-    """The pitch of --config's scenario; the default pitch without one."""
-    if not args.config:
-        return PitchSpec()
-    doc = load_config_dict(args.config)
-    return config_from_dict(ScenarioConfig, doc.get("scenario", {}),
-                            "scenario").pitch
-
-
 def _cmd_solve_epv(args) -> int:
-    pitch = _pitch_from_args(args)
+    config = load_experiment(args.config) if args.config else None
+    pitch = config.scenario.pitch if config else PitchSpec()
     values = epv_mod.solve_epv(epv_mod.default_chain(pitch), tol=args.tol)
     epv_mod.save_epv_grid(args.out, values, pitch)
     print(f"{args.out}: {values.shape[0]}x{values.shape[1]} grid, "
@@ -119,14 +110,13 @@ def _cmd_solve_epv(args) -> int:
     return 0
 
 
-def _state_for_render(args) -> sim.GameState:
+def _state_for_render(args, config) -> sim.GameState:
     if args.state:
         return sim.load_state(args.state)
     if not args.checkpoint:
         raise ConfigError("render-field needs --state or --checkpoint")
-    if not args.config:
+    if not config:
         raise ConfigError("--checkpoint rendering needs --config for the scenario")
-    config = load_experiment(args.config)
     learner = trainer_mod.load_checkpoint(args.checkpoint, config.scenario)
     state = sim.reset(config.scenario, args.seed)
     steps = trainer_mod.rollout(state, learner.greedy_actions)
@@ -137,15 +127,13 @@ def _state_for_render(args) -> sim.GameState:
 
 def _cmd_render_field(args) -> int:
     what = args.what
+    config = load_experiment(args.config) if args.config else None
+    pitch = config.scenario.pitch if config else PitchSpec()
     state = None
-    if what == "epv" and not (args.state or args.checkpoint):
-        pitch = _pitch_from_args(args)
-    else:
-        state = _state_for_render(args)
+    if what != "epv" or args.state or args.checkpoint:
+        state = _state_for_render(args, config)
         pitch = state.scenario.pitch
-
-    pm = load_config_dict(args.config).get("pass_model") if args.config else None
-    pass_params = config_from_dict(pc.PassModelParams, pm or {}, "pass_model")
+    pass_params = config.pass_model if config else pc.PassModelParams()
 
     if what == "control":      # the grid, even if given, is not drawn
         values = pc.compute_control_field(state, pass_params)

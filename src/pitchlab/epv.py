@@ -21,6 +21,14 @@ from .sim import (ConfigError, PitchSpec, is_finite_number, read_text,
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
 
+# default_chain's shot, turnover and score constants; solve_epv's sweep budget
+S_MAX = 0.9
+D_SCALE = 12.0
+U0 = 0.04
+Q_MIN = 0.02
+Q_MAX = 0.35
+MAX_SWEEPS = 200000
+
 
 class NonStochasticChainError(ValueError):
     """Per-cell probabilities fail to form a distribution."""
@@ -84,9 +92,7 @@ class PossessionChain:
         return self.shot.shape
 
 
-def default_chain(pitch: PitchSpec, *, s_max: float = 0.9, d_scale: float = 12.0,
-                  u0: float = 0.04, q_min: float = 0.02,
-                  q_max: float = 0.35) -> PossessionChain:
+def default_chain(pitch: PitchSpec) -> PossessionChain:
     """Geometry-driven chain for a pitch.
 
     Shot probability decays exponentially with distance to the goal centre;
@@ -103,7 +109,7 @@ def default_chain(pitch: PitchSpec, *, s_max: float = 0.9, d_scale: float = 12.0
     dx = (np.arange(m) + 0.5) * (pitch.length / m)
     dy = (np.arange(n) + 0.5 - n / 2.0) * (pitch.width / n)
     d = np.hypot(dx[:, None], dy[None, :])
-    shot = s_max * np.exp(-d / d_scale)
+    shot = S_MAX * np.exp(-d / D_SCALE)
 
     # angle subtended by the goal mouth, relative to a near-goal reference
     hw = pitch.goal_half_width
@@ -111,9 +117,9 @@ def default_chain(pitch: PitchSpec, *, s_max: float = 0.9, d_scale: float = 12.0
     v2 = np.arctan2(-hw - dy[None, :], dx[:, None])
     theta = np.abs(v1 - v2)
     theta_ref = 2.0 * math.atan2(hw, 1.6)
-    score = q_min + (q_max - q_min) * np.clip(theta / theta_ref, 0.0, 1.0)
+    score = Q_MIN + (Q_MAX - Q_MIN) * np.clip(theta / theta_ref, 0.0, 1.0)
 
-    turnover = np.full((m, n), u0)
+    turnover = np.full((m, n), U0)
     budget = 1.0 - shot - turnover
     if np.any(budget <= 0):
         raise NonStochasticChainError("shot + turnover exceed 1 somewhere")
@@ -138,15 +144,14 @@ def default_chain(pitch: PitchSpec, *, s_max: float = 0.9, d_scale: float = 12.0
     return PossessionChain(move=move, shot=shot, score=score, turnover=turnover)
 
 
-def solve_epv(chain: PossessionChain, *, tol: float = 1e-8,
-              max_iter: int = 200000) -> np.ndarray:
+def solve_epv(chain: PossessionChain, *, tol: float = 1e-8) -> np.ndarray:
     """Fixed point of V = shot*score + sum_d move_d * shift_d(V).
 
     Plain synchronous value iteration from V = 0; iterates are pointwise
     nondecreasing and bounded by 1, and the chain contracts because every
     cell leaks probability into shooting or turnover.  Stops when the
     sup-norm change between sweeps drops below tol; raises
-    ValueIterationError if that never happens within max_iter sweeps.
+    ValueIterationError if that never happens within MAX_SWEEPS sweeps.
     """
     chain.validate()
     if not (math.isfinite(tol) and tol > 0):
@@ -155,7 +160,7 @@ def solve_epv(chain: PossessionChain, *, tol: float = 1e-8,
     r = chain.shot * chain.score
     mv = chain.move
     V = np.zeros((m, n))
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         nxt = r + mv[..., SELF] * V
         nxt[:-1, :] += mv[:-1, :, XP] * V[1:, :]
         nxt[1:, :] += mv[1:, :, XM] * V[:-1, :]
@@ -164,7 +169,7 @@ def solve_epv(chain: PossessionChain, *, tol: float = 1e-8,
         if float(np.max(np.abs(nxt - V))) < tol:
             return nxt
         V = nxt
-    raise ValueIterationError(f"no convergence after {max_iter} sweeps (tol={tol})")
+    raise ValueIterationError(f"no convergence after {MAX_SWEEPS} sweeps (tol={tol})")
 
 
 def game_state_epv(field: np.ndarray, grid: np.ndarray) -> float:

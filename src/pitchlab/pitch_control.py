@@ -23,6 +23,10 @@ from .sim import (ConfigError, GameState, PlayerState, open_atomic,
 # outputs inside the open interval (0, 1) for arbitrarily extreme inputs
 _Z_CAP = 36.0
 
+# fit_pass_model's iteration budget; the spread of sample_pass_events' x
+FIT_MAX_ITER = 20000
+ADVANTAGE_SCALE = 1.0
+
 
 class InsufficientDataError(ValueError):
     """Pass events empty or single-class; the likelihood has no interior max."""
@@ -88,7 +92,7 @@ def log_likelihood_grad(params: PassModelParams, x: np.ndarray,
 
 def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
                    init: PassModelParams | None = None,
-                   tol: float = 1e-6, max_iter: int = 20000) -> PassModelParams:
+                   tol: float = 1e-6) -> PassModelParams:
     """Maximum-likelihood fit of the logistic pass model.
 
     Gradient ascent on the mean log-likelihood in (log sigma, lambda) space
@@ -106,7 +110,7 @@ def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
     InsufficientDataError
         No events, or all outcomes identical (no interior maximum).
     NonConvergenceError
-        Tolerance not reached within `max_iter` iterations.
+        Tolerance not reached within FIT_MAX_ITER iterations.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol: expected a finite number > 0, got {tol!r}")
@@ -129,7 +133,7 @@ def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
 
     ll = log_likelihood(params, x, k)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         g_raw = log_likelihood_grad(params, x, k)
         if float(np.max(np.abs(g_raw))) < tol:
             return params
@@ -147,14 +151,13 @@ def fit_pass_model(x: np.ndarray, k: np.ndarray, *,
         theta = theta + step * g
         params = unpack(theta)
         ll = cand_ll
-    raise NonConvergenceError(f"no convergence after {max_iter} iterations")
+    raise NonConvergenceError(f"no convergence after {FIT_MAX_ITER} iterations")
 
 
 def sample_pass_events(params: PassModelParams, n: int,
-                       rng: np.random.Generator, *,
-                       advantage_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw n synthetic (advantage, outcome) pairs from the model."""
-    x = rng.normal(0.0, advantage_scale, size=n)
+    x = rng.normal(0.0, ADVANTAGE_SCALE, size=n)
     p = pass_success_probability(params, x)
     k = (rng.random(n) < p).astype(float)
     return x, k

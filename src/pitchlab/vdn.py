@@ -66,8 +66,7 @@ EPSILON_END = 0.05
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training-loop knobs shared by the matrix-game tests and the full
-    experiment driver."""
+    """Training-loop knobs: the `train` block of an experiment config."""
 
     total_steps: int = 200_000
     learning_rate: float = 5e-4
@@ -85,6 +84,10 @@ class TrainConfig:
             raise ConfigError("total_steps must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError("hidden sizes must be positive")
+        if self.grad_clip <= 0:
+            raise ConfigError("grad_clip must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:

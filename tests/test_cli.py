@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pitchlab import cli, epv, pitch_control as pc, sim, trainer
+from pitchlab import cli, epv, pitch_control as pc, render, sim, trainer
 from pitchlab.cli import main
 from pitchlab.reward import ShapingConfig, ShapingMode
 from pitchlab.sim import ScenarioConfig
@@ -88,6 +88,13 @@ def _set(*keys, value):
     return mutate
 
 
+def _only(key):
+    def mutate(doc):
+        for k in set(doc) - {key}:
+            del doc[k]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, path", [
     (_set("scenario", "pitch", "corner_flags", value=4), "scenario.pitch.corner_flags"),
     (_set("train", "hidden", value=64), "train.hidden"),
@@ -121,6 +128,16 @@ def _set(*keys, value):
     (_set("train", "epsilon_end", value=0.05), "train.epsilon_end"),
     (_set("train", "epsilon_decay_steps", value=0), "train.epsilon_decay_steps"),
     (_set("seeds", value=[-1]), "seeds"),
+    # values the learner rejects too; the config must reject them first,
+    # before the run directory is made
+    pytest.param(_set("train", "hidden", value=[]), "train",
+                 id="train.hidden-empty"),
+    pytest.param(_set("train", "hidden", value=[0, 8]), "train",
+                 id="train.hidden-zero"),
+    pytest.param(_set("train", "grad_clip", value=0), "train",
+                 id="train.grad_clip-zero"),
+    pytest.param(_set("train", "grad_clip", value=-1), "train",
+                 id="train.grad_clip-negative"),
 ])
 def test_malformed_config_exits_2_and_names_field(tmp_path, capsys, mutate, path):
     doc = micro_config_dict()
@@ -628,6 +645,48 @@ def test_render_control_ignores_an_epv_grid_it_does_not_draw(tmp_path, capsys):
     assert images[0] == images[1]
 
 
+@pytest.mark.parametrize("command", [
+    ["solve-epv"], ["render-field", "--what", "epv"]])
+@pytest.mark.parametrize("mutate, named", [
+    (_set("train", "momentum", value=0.9), "train.momentum: unknown field"),
+    (_only("scenario"), "train: missing field"),
+    (_set("train", "learning_rate", value=-1), "train: learning_rate"),
+])
+def test_every_config_is_loaded_whole_as_train_loads_it(
+        tmp_path, capsys, command, mutate, named):
+    doc = micro_config_dict()
+    mutate(doc)
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    out = tmp_path / "out"
+    rc = main([*command, "--config", cfg_path, "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_control_draws_with_the_config_pass_model(tmp_path):
+    state = sim.reset(ScenarioConfig(n_defenders=2, n_attackers=3), 4)
+    state_path = tmp_path / "state.json"
+    sim.save_state(state, str(state_path))
+    doc = micro_config_dict()
+    doc["pass_model"] = {"sigma": 0.2}
+    cfg_path = write_yaml(tmp_path / "config.yaml", doc)
+    out = tmp_path / "control.ppm"
+    rc = main(["render-field", "--what", "control", "--state", str(state_path),
+               "--config", cfg_path, "--out", str(out)])
+    assert rc == 0
+
+    def drawn(params):
+        path = tmp_path / "expected.ppm"
+        field = pc.compute_control_field(state, params)
+        render.write_ppm(str(path), render.render_scene(
+            field, state.scenario.pitch, mode="control", state=state))
+        return path.read_bytes()
+
+    assert out.read_bytes() == drawn(pc.PassModelParams(sigma=0.2))
+    assert out.read_bytes() != drawn(pc.PassModelParams())
+
+
 def test_render_with_a_grid_for_another_pitch_exits_3(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(_grid_doc(sim.PitchSpec(width=40.0))))
@@ -721,7 +780,7 @@ def test_replay_and_render_follow_the_evaluation_rollout(tmp_path, capsys):
                 ["render-field", "--checkpoint", ckpt, "--config", cfg_path,
                  "--seed", str(rec.seed), "--at-step", str(k),
                  "--out", str(tmp_path / "x.ppm")])
-            snap = sim.snapshot(cli._state_for_render(args))
+            snap = sim.snapshot(cli._state_for_render(args, config))
             if k == 0:
                 assert snap["step"] == 0
                 continue

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,10 +139,11 @@ def test_values_in_unit_interval_and_monotone_iteration():
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(epv, "MAX_SWEEPS", 3)
     chain = single_cell_chain(shot=0.3, score=0.5, self_move=0.6)
-    with pytest.raises(epv.ValueIterationError):
-        epv.solve_epv(chain, tol=1e-13, max_iter=3)
+    with pytest.raises(epv.ValueIterationError, match="after 3 sweeps"):
+        epv.solve_epv(chain, tol=1e-13)
 
 
 def test_bad_tol_rejected():
@@ -170,6 +173,15 @@ def test_default_chain_mirror_symmetry_exact():
     assert np.array_equal(chain.shot, chain.shot[:, ::-1])
     assert np.array_equal(chain.score, chain.score[:, ::-1])
     assert np.array_equal(chain.turnover, chain.turnover[:, ::-1])
+
+
+def test_default_chain_epv_grid_is_pinned():
+    values = epv.solve_epv(epv.default_chain(PitchSpec()))
+    assert values.dtype == np.float64
+    assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == \
+        "e3b4c504739c42e5c36a8ace852de8f7fcb90415c0fac563ff12fdd4e04e476e"
+    assert float(values.max()) == 0.2984972071563193
+    assert float(values.sum()) == 14.480264106684812
 
 
 def test_default_chain_epv_decreasing_along_center_line():

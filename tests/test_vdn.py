@@ -600,6 +600,12 @@ def test_train_config_validation():
         TrainConfig(buffer_capacity=8, batch_size=32)
     with pytest.raises(ConfigError):
         TrainConfig(learn_start=8, batch_size=32)
+    for hidden in ((), (0, 8)):
+        with pytest.raises(ConfigError, match="hidden"):
+            TrainConfig(hidden=hidden)
+    for grad_clip in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="grad_clip"):
+            TrainConfig(grad_clip=grad_clip)
 
 
 def test_learner_config_validation():
