@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="force shaping weight to 0")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="seeds trained concurrently")
+                   help="the most seeds trained at once; this process "
+                        "trains them one at a time")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", formatter_class=fmt,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -325,8 +324,9 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     directory behind.  A non-convergence error, in the grid's solve or in
     a seed's optimisation, and a diverging seed's DivergenceError are
     recorded as an `error` row in each seed they stop; remaining seeds
-    still run.  `jobs` below 1 raises ConfigError before anything is
-    written.
+    still run.  `jobs` is the most seeds trained at once; this process
+    trains them one at a time, in `config.seeds` order, in the calling
+    thread.  `jobs` below 1 raises ConfigError before anything is written.
     """
     if jobs < 1:
         raise ConfigError(f"jobs: expected an int >= 1, got {jobs}")
@@ -355,12 +355,8 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
                                 "error": type(error).__name__,
                                 "message": str(error)}))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(one, config.seeds))
-    else:
-        for seed in config.seeds:
-            one(seed)
+    for seed in config.seeds:
+        one(seed)
     return run_dir
 
 

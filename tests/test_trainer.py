@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from pitchlab.trainer import (
     run_training,
     write_curve_csv,
 )
-from pitchlab.vdn import TrainConfig, VDNLearner
+from pitchlab.vdn import DivergenceError, TrainConfig, VDNLearner
 
 
 def tiny_scenario(**kw):
@@ -386,6 +387,52 @@ def test_failed_seed_writes_error_row(tmp_path, monkeypatch):
     assert rows == [{"kind": "error", "seed": 1,
                      "error": "ValueIterationError",
                      "message": "forced for the test"}]
+
+
+def read_bytes(run_dir, seed, name):
+    with open(os.path.join(run_dir, f"seed-{seed}", name), "rb") as f:
+        return f.read()
+
+
+def test_jobs_2_trains_seeds_in_order_on_the_calling_thread(tmp_path,
+                                                            monkeypatch):
+    cfg = tiny_config(total_steps=100, eval_every=50, seeds=(2, 1))
+    alone = run_training(cfg, str(tmp_path / "alone"), jobs=1)
+    calls = []
+    train_seed = trainer.train_seed
+
+    def recording(config, seed, *a):
+        calls.append((seed, threading.get_ident()))
+        return train_seed(config, seed, *a)
+
+    monkeypatch.setattr(trainer, "train_seed", recording)
+    two_jobs = run_training(cfg, str(tmp_path / "two_jobs"), jobs=2)
+    assert calls == [(2, threading.get_ident()), (1, threading.get_ident())]
+    for seed in cfg.seeds:
+        for name in ("metrics.jsonl", "ckpt_final.json"):
+            assert read_bytes(two_jobs, seed, name) == \
+                read_bytes(alone, seed, name)
+
+
+def test_failed_seed_does_not_stop_the_next(tmp_path, monkeypatch):
+    alone = run_training(tiny_config(total_steps=100, eval_every=50,
+                                     seeds=(2,)), str(tmp_path / "alone"))
+    train_seed = trainer.train_seed
+
+    def diverge_seed_1(config, seed, *a):
+        if seed == 1:
+            raise DivergenceError("forced")
+        return train_seed(config, seed, *a)
+
+    monkeypatch.setattr(trainer, "train_seed", diverge_seed_1)
+    run_dir = run_training(tiny_config(total_steps=100, eval_every=50,
+                                       seeds=(1, 2)),
+                           str(tmp_path / "both"), jobs=2)
+    assert load_metrics(os.path.join(run_dir, "seed-1", "metrics.jsonl")) == [
+        {"kind": "error", "seed": 1, "error": "DivergenceError",
+         "message": "forced"}]
+    assert read_bytes(run_dir, 2, "metrics.jsonl") == \
+        read_bytes(alone, 2, "metrics.jsonl")
 
 
 # -- learning curves ---------------------------------------------------------------------
