@@ -1,9 +1,10 @@
 """Command-line entry point covering the full pipeline.
 
-Exit codes: 0 success, 2 for configuration or input-file problems (the
-message names the offending path or field), 3 for runtime failures inside
-the numeric modules.  `train` exits 3 when any seed's log ends in an error
-row, after the other seeds have trained.
+Exit codes: 0 success, 2 for configuration or input-file problems (a
+`ConfigError`, an `OSError` or a YAML error; the message names the
+offending path or field), 3 for runtime failures inside the numeric
+modules (a `RunFailure`).  `train` exits 3 when any seed's log ends in an
+error row, after the other seeds have trained.
 """
 
 from __future__ import annotations
@@ -24,22 +25,14 @@ from . import pitch_control as pc
 from . import render
 from . import sim
 from . import trainer as trainer_mod
-from .sim import ConfigError, PitchSpec, config_to_dict
-from .vdn import CheckpointFormatError, DivergenceError, ShapeMismatchError
+from .sim import ConfigError, PitchSpec, RunFailure, config_to_dict
 
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError, IsADirectoryError,
-                  yaml.YAMLError)
-_RUNTIME_ERRORS = (pc.InsufficientDataError, pc.NonConvergenceError,
-                   epv_mod.NonStochasticChainError, epv_mod.FormatError,
-                   epv_mod.ValueIterationError, epv_mod.DimensionMismatchError,
-                   CheckpointFormatError, DivergenceError, ShapeMismatchError,
-                   trainer_mod.EmptyLogError, sim.SteppedTerminalError,
-                   sim.ActionArityError)
+# where `fit-pass-model` starts its fit; the start moves the fitted lambda
+# in its last digits, so a fixed start keeps written fits reproducible
+_FIT_START = pc.PassModelParams(sigma=1.0, lam=0.0)
 
 
 def load_config_dict(path: str) -> dict:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     doc = yaml.safe_load(sim.read_text(path))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
@@ -85,16 +78,15 @@ def _cmd_eval(args) -> int:
     difficulty = args.difficulty if args.difficulty is not None \
         else config.scenario.difficulty
     mean_gd, _records = trainer_mod.evaluate_checkpoint(
-        args.checkpoint, config, difficulty, args.episodes, args.seed)
-    print(f"mean goal difference over {args.episodes} episodes "
+        args.checkpoint, config, difficulty, config.eval_episodes, args.seed)
+    print(f"mean goal difference over {config.eval_episodes} episodes "
           f"at difficulty {difficulty}: {mean_gd:+.4f}")
     return 0
 
 
 def _cmd_fit_pass_model(args) -> int:
     x, k = pc.load_pass_events(args.events)
-    init = pc.PassModelParams(sigma=args.init_sigma, lam=args.init_lambda)
-    params = pc.fit_pass_model(x, k, init=init, tol=args.tol)
+    params = pc.fit_pass_model(x, k, init=_FIT_START)
     sim.write_json_atomic(args.out, config_to_dict(params))
     print(f"sigma={params.sigma!r} lambda={params.lam!r}")
     return 0
@@ -103,7 +95,7 @@ def _cmd_fit_pass_model(args) -> int:
 def _cmd_solve_epv(args) -> int:
     config = load_experiment(args.config) if args.config else None
     pitch = config.scenario.pitch if config else PitchSpec()
-    values = epv_mod.solve_epv(epv_mod.default_chain(pitch), tol=args.tol)
+    values = epv_mod.solve_epv(epv_mod.default_chain(pitch))
     epv_mod.save_epv_grid(args.out, values, pitch)
     print(f"{args.out}: {values.shape[0]}x{values.shape[1]} grid, "
           f"peak {float(values.max())!r}")
@@ -202,21 +194,17 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _finite(expected: str, ok=lambda value: True):
-    """An argparse type for a finite float that passes `ok`; anything else
-    is a usage error (exit 2) naming the flag and `expected`."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
-        return value
-    return parse
-
-
-_DIFFICULTY = _finite("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+def _difficulty(text: str) -> float:
+    """An argparse type for a number in [0, 1]; anything else (nan too) is
+    a usage error (exit 2) naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate a checkpoint greedily")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", required=True, help="experiment config (YAML)")
-    p.add_argument("--difficulty", type=_DIFFICULTY, default=None,
+    p.add_argument("--difficulty", type=_difficulty, default=None,
                    help="attacker difficulty (default: scenario's)")
-    p.add_argument("--episodes", type=_int_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 
@@ -254,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum-likelihood fit on pass events")
     p.add_argument("--events", required=True, help="CSV with header x,k")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--init-sigma", type=_finite("a finite number > 0",
-                                                lambda value: value > 0),
-                   default=1.0)
-    p.add_argument("--init-lambda", type=_finite("a finite number"),
-                   default=0.0)
     p.set_defaults(fn=_cmd_fit_pass_model)
 
     p = sub.add_parser("solve-epv", formatter_class=fmt,
@@ -267,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output grid JSON path")
     p.add_argument("--config", default=None,
                    help="experiment config supplying the pitch")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_solve_epv)
 
     p = sub.add_parser("render-field", formatter_class=fmt,
@@ -292,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--difficulty", type=_DIFFICULTY, default=None)
+    p.add_argument("--difficulty", type=_difficulty, default=None)
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(fn=_cmd_replay)
 
@@ -301,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", nargs="+", required=True,
                    help="run directories (containing seed-*/metrics.jsonl)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--difficulty", type=_DIFFICULTY, default=None,
+    p.add_argument("--difficulty", type=_difficulty, default=None,
                    help="restrict to one evaluation difficulty")
     p.set_defaults(fn=_cmd_curve)
     return parser
@@ -312,10 +292,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CONFIG_ERRORS as e:
+    except (ConfigError, OSError, yaml.YAMLError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as e:
+    except RunFailure as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

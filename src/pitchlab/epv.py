@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import (ConfigError, PitchSpec, is_finite_number, read_text,
-                  write_json_atomic)
+from .sim import (ConfigError, PitchSpec, RunFailure, is_finite_number,
+                  read_text, write_json_atomic)
 
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
@@ -30,19 +30,19 @@ Q_MAX = 0.35
 MAX_SWEEPS = 200000
 
 
-class NonStochasticChainError(ValueError):
+class NonStochasticChainError(ValueError, RunFailure):
     """Per-cell probabilities fail to form a distribution."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ValueError, RunFailure):
     """Field and grid dimensions disagree."""
 
 
-class FormatError(ValueError):
+class FormatError(ValueError, RunFailure):
     """A value-grid file is malformed."""
 
 
-class ValueIterationError(RuntimeError):
+class ValueIterationError(RuntimeError, RunFailure):
     """Value iteration failed to converge."""
 
 

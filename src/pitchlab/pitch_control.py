@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import (ConfigError, GameState, PlayerState, open_atomic,
-                  read_text)
+from .sim import (ConfigError, GameState, PlayerState, RunFailure,
+                  open_atomic, read_text)
 
 # logistic(36) is the largest float64 strictly below 1; clamping there keeps
 # outputs inside the open interval (0, 1) for arbitrarily extreme inputs
@@ -28,11 +28,11 @@ FIT_MAX_ITER = 20000
 ADVANTAGE_SCALE = 1.0
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(ValueError, RunFailure):
     """Pass events empty or single-class; the likelihood has no interior max."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(RuntimeError, RunFailure):
     """Likelihood optimisation failed to reach the gradient tolerance."""
 
 

@@ -23,14 +23,20 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    """Scenario or pitch parameters violate an invariant."""
+    """Scenario or pitch parameters violate an invariant.  The base of every
+    error the command line reports as a bad config or input (exit 2)."""
 
 
-class ActionArityError(ValueError):
+class RunFailure(Exception):
+    """The base of every error the command line reports as a runtime
+    failure (exit 3)."""
+
+
+class ActionArityError(ValueError, RunFailure):
     """Number of defender actions does not match the scenario."""
 
 
-class SteppedTerminalError(RuntimeError):
+class SteppedTerminalError(RuntimeError, RunFailure):
     """step() was called on a state whose episode already ended."""
 
 
@@ -227,8 +233,6 @@ class StepEvents:
     turnover: bool = False
     tackle: bool = False
     foul: bool = False
-    terminal: bool = False
-    outcome: Optional[EpisodeOutcome] = None
 
 
 @dataclass
@@ -688,7 +692,7 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
             else:
                 events.turnover = True
                 state.ball_pos = pos[nearest].copy()
-                _terminate(state, events, OutcomeKind.TURNOVER)
+                _terminate(state, OutcomeKind.TURNOVER)
         elif t_exit < 1.0:
             cy = pitch.width / 2.0
             if delta[0] < 0.0 and end[0] <= 1e-9 \
@@ -696,10 +700,10 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
                 events.goal = True
                 state.score_events.append(
                     {"step": state.step_index, "team": Team.ATTACKING.value})
-                _terminate(state, events, OutcomeKind.GOAL_CONCEDED)
+                _terminate(state, OutcomeKind.GOAL_CONCEDED)
             else:
                 events.out_of_bounds = True
-                _terminate(state, events, OutcomeKind.OUT_OF_BOUNDS)
+                _terminate(state, OutcomeKind.OUT_OF_BOUNDS)
             state.ball_pos = end
         else:
             state.ball_pos = new
@@ -715,26 +719,24 @@ def step(state: GameState, actions: Sequence[int]) -> tuple[GameState, StepEvent
             if rng.random() < TACKLE_PROB:
                 events.tackle = True
                 events.turnover = True
-                _terminate(state, events, OutcomeKind.TURNOVER)
+                _terminate(state, OutcomeKind.TURNOVER)
                 break
             if rng.random() < FOUL_PROB:
                 events.foul = True
                 events.turnover = True
-                _terminate(state, events, OutcomeKind.TURNOVER)
+                _terminate(state, OutcomeKind.TURNOVER)
                 break
 
     state.step_index += 1
     if not state.terminal and state.step_index >= sc.max_episode_steps:
-        _terminate(state, events, OutcomeKind.STEP_LIMIT)
+        _terminate(state, OutcomeKind.STEP_LIMIT)
     return state, events
 
 
-def _terminate(state: GameState, events: StepEvents, kind: OutcomeKind) -> None:
+def _terminate(state: GameState, kind: OutcomeKind) -> None:
     gd = -1 if kind is OutcomeKind.GOAL_CONCEDED else 0
     state.terminal = True
     state.outcome = EpisodeOutcome(kind=kind, goal_difference=gd)
-    events.terminal = True
-    events.outcome = state.outcome
 
 
 def observation_length(scenario: ScenarioConfig) -> int:

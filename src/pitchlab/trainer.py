@@ -20,8 +20,8 @@ from . import epv as epv_mod
 from . import pitch_control as pc
 from . import reward as reward_mod
 from . import sim
-from .sim import (ConfigError, GameState, ScenarioConfig, config_from_dict,
-                  config_to_dict)
+from .sim import (ConfigError, GameState, RunFailure, ScenarioConfig,
+                  config_from_dict, config_to_dict)
 from .vdn import (DivergenceError, ReplayBuffer, ShapeMismatchError,
                   TrainConfig, VDNLearner)
 
@@ -31,7 +31,7 @@ EVAL_SEED_XOR = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-class EmptyLogError(ValueError):
+class EmptyLogError(ValueError, RunFailure):
     """No evaluation rows found in the metrics logs."""
 
 

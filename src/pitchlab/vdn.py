@@ -22,19 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import (ConfigError, config_from_dict, config_to_dict, read_text,
-                  write_json_atomic)
+from .sim import (ConfigError, RunFailure, config_from_dict, config_to_dict,
+                  read_text, write_json_atomic)
 
 
-class ShapeMismatchError(ValueError):
+class ShapeMismatchError(ValueError, RunFailure):
     """Input width or agent count disagrees with the network."""
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(ValueError, RunFailure):
     """A checkpoint file is malformed."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(RuntimeError, RunFailure):
     """Training diverged: a TD update's loss or gradient norm, or a weight
     about to be saved, is not finite."""
 

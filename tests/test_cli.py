@@ -63,6 +63,62 @@ def test_missing_config_exits_2_and_names_path(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{cfg}", "--out", "{file}"],
+    ["render-field", "--what", "epv", "--out", "{file}/x.ppm"],
+    ["solve-epv", "--out", "{file}/g.json"],
+], ids=["train", "render-field", "solve-epv"])
+def test_an_out_path_below_a_regular_file_exits_2_and_names_it(
+        tmp_path, capsys, argv):
+    cfg = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    regular = tmp_path / "afile"
+    regular.write_text("kept\n")
+    # main returns the code: the OSError does not escape as a traceback
+    rc = main([a.format(cfg=cfg, file=regular) for a in argv])
+    assert rc == 2
+    assert f"Not a directory: '{regular}/" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["afile", "config.yaml"]
+    assert regular.read_text() == "kept\n"
+
+
+def _defined_exception_classes():
+    """Every exception class a pitchlab module defines."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import pitchlab
+    found = []
+    for info in pkgutil.iter_modules(pitchlab.__path__):
+        module = importlib.import_module(f"pitchlab.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException)
+                  and cls.__module__ == module.__name__]
+    return found
+
+
+_PITCHLAB_ERRORS = _defined_exception_classes()
+
+
+def test_every_pitchlab_error_derives_from_one_exit_base():
+    assert {sim.ConfigError, sim.RunFailure, pc.NonConvergenceError,
+            trainer.EmptyLogError} <= set(_PITCHLAB_ERRORS)
+    for error in _PITCHLAB_ERRORS:
+        assert issubclass(error, sim.ConfigError) != \
+            issubclass(error, sim.RunFailure), error
+
+
+@pytest.mark.parametrize("error", _PITCHLAB_ERRORS + [OSError],
+                         ids=lambda error: error.__name__)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("forced")
+    monkeypatch.setattr(cli, "_cmd_curve", fail)
+    rc = main(["curve", "--runs", "run", "--out", "curve.csv"])
+    assert rc == (3 if issubclass(error, sim.RunFailure) else 2)
+    assert "forced" in capsys.readouterr().err
+
+
 def test_non_mapping_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("- 1\n- 2\n")
@@ -306,8 +362,10 @@ def test_fit_pass_model_recovers_parameters(tmp_path, capsys):
     assert abs(fitted.lam - 0.2) < 0.1
     # plain floats, printed as such
     assert f"sigma={fitted.sigma!r} lambda={fitted.lam!r}" in printed
-    params = pc.fit_pass_model(x, k)
+    # the command starts its fit at sigma 1, lambda 0
+    params = pc.fit_pass_model(x, k, init=pc.PassModelParams(sigma=1.0))
     assert type(params.sigma) is float and type(params.lam) is float
+    assert (fitted.sigma, fitted.lam) == (params.sigma, params.lam)
 
 
 @pytest.mark.parametrize("row, where", [
@@ -378,28 +436,32 @@ def test_pitch_flags_are_usage_errors(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
-@pytest.mark.parametrize("command", ["solve-epv", "fit-pass-model"])
-def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
-    events = tmp_path / "events.csv"
-    pc.save_pass_events(str(events), np.array([0.3, -0.2]), np.array([1, 0]))
-    inputs = ["--events", str(events)] if command == "fit-pass-model" else []
-    out = tmp_path / "out.json"
-    rc = main([command, *inputs, "--out", str(out), f"--tol={tol}"])
-    assert rc == 2
-    assert f"tol: expected a finite number > 0, got {float(tol)!r}" in \
-        capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("argv, flag", [
+    (["solve-epv", "--out", "{tmp}/out"], "--tol"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out", "{tmp}/out"],
+     "--tol"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out", "{tmp}/out"],
+     "--init-sigma"),
+    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out", "{tmp}/out"],
+     "--init-lambda"),
+    (["eval", "--checkpoint", "{tmp}/ckpt.json", "--config", "{tmp}/c.yaml"],
+     "--episodes"),
+], ids=["solve-epv-tol", "fit-tol", "fit-init-sigma", "fit-init-lambda",
+        "eval-episodes"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv] + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, message", [
     (["train", "--jobs", "0"], "--jobs: expected an int >= 1, got 0"),
     (["train", "--jobs", "-3"], "--jobs: expected an int >= 1, got -3"),
-    (["eval", "--checkpoint", "{tmp}/ckpt.json", "--episodes", "0"],
-     "--episodes: expected an int >= 1, got 0"),
     (["render-field", "--checkpoint", "{tmp}/ckpt.json", "--at-step", "-5",
       "--out", "{tmp}/scene.ppm"], "--at-step: expected an int >= 0, got -5"),
-], ids=["jobs-0", "jobs-negative", "episodes-0", "at-step-negative"])
+], ids=["jobs-0", "jobs-negative", "at-step-negative"])
 def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv,
                                                      message):
     cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
@@ -428,25 +490,9 @@ _DIFFICULTY_MESSAGE = "--difficulty: expected a number in [0, 1], got {}"
       "--difficulty", "nan"], _DIFFICULTY_MESSAGE.format("nan")),
     (["curve", "--runs", "{tmp}", "--out", "{tmp}/curve.csv",
       "--difficulty", "high"], _DIFFICULTY_MESSAGE.format("high")),
-    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
-      "{tmp}/fit.json", "--init-sigma", "-1"],
-     "--init-sigma: expected a finite number > 0, got -1"),
-    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
-      "{tmp}/fit.json", "--init-sigma", "0"],
-     "--init-sigma: expected a finite number > 0, got 0"),
-    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
-      "{tmp}/fit.json", "--init-sigma", "inf"],
-     "--init-sigma: expected a finite number > 0, got inf"),
-    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
-      "{tmp}/fit.json", "--init-lambda", "nan"],
-     "--init-lambda: expected a finite number, got nan"),
-    (["fit-pass-model", "--events", "{tmp}/events.csv", "--out",
-      "{tmp}/fit.json", "--init-lambda", "1e400"],
-     "--init-lambda: expected a finite number, got 1e400"),
 ], ids=["eval-difficulty-1.5", "eval-difficulty-negative",
         "replay-difficulty-nan", "curve-difficulty-1.5", "curve-difficulty-nan",
-        "curve-difficulty-word", "init-sigma-negative", "init-sigma-0",
-        "init-sigma-inf", "init-lambda-nan", "init-lambda-overflow"])
+        "curve-difficulty-word"])
 def test_float_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv,
                                                    message):
     cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
@@ -526,7 +572,7 @@ def test_eval_checkpoint(tmp_path, capsys):
     ckpt = os.path.join(run_dir, "seed-1", "ckpt_final.json")
     for seed in ("3", "-1"):   # evaluation masks its seed: -1 is valid
         rc = main(["eval", "--checkpoint", ckpt, "--config", cfg_path,
-                   "--episodes", "2", "--seed", seed])
+                   "--seed", seed])
         assert rc == 0
         assert "mean goal difference over 2 episodes" in capsys.readouterr().out
 

@@ -1,10 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from pitchlab import epv
-from pitchlab.sim import PitchSpec
+from pitchlab.sim import ConfigError, PitchSpec
 
 
 def single_cell_chain(shot, score, self_move=0.0):
@@ -148,8 +149,10 @@ def test_nonconvergence_raises(monkeypatch):
 
 def test_bad_tol_rejected():
     chain = single_cell_chain(shot=1.0, score=0.3)
-    with pytest.raises(ValueError):
-        epv.solve_epv(chain, tol=0.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=(
+                rf"tol: expected a finite number > 0, got {tol!r}")):
+            epv.solve_epv(chain, tol=tol)
 
 
 # -- default chain ---------------------------------------------------------------

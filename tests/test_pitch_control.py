@@ -120,6 +120,14 @@ def test_fit_insufficient_data():
         pc.fit_pass_model(x, np.zeros(20))
 
 
+def test_fit_bad_tol_rejected():
+    x, k = np.array([0.3, -0.2]), np.array([1.0, 0.0])
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(sim.ConfigError, match=(
+                rf"tol: expected a finite number > 0, got {tol!r}")):
+            pc.fit_pass_model(x, k, tol=tol)
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(23)
     x, k = pc.sample_pass_events(pc.PassModelParams(0.45, 0.1), 1500, rng)

@@ -6,12 +6,11 @@ from pitchlab.trainer import EpisodeTally, ExperimentConfig
 from pitchlab.vdn import TrainConfig
 
 
-def events(goal=False, out_of_bounds=False, turnover=False, terminal=False):
+def events(goal=False, out_of_bounds=False, turnover=False):
     ev = sim.StepEvents()
     ev.goal = goal
     ev.out_of_bounds = out_of_bounds
     ev.turnover = turnover
-    ev.terminal = terminal or goal or out_of_bounds or turnover
     return ev
 
 

@@ -345,9 +345,8 @@ def test_step_limit_outcome():
     sc = small_scenario(max_episode_steps=5, difficulty=1.0)
     st = sim.reset(sc, 0)
     for _ in range(5):
-        st, ev = sim.step(st, [STAY, STAY])
+        st, _ = sim.step(st, [STAY, STAY])
     assert st.terminal
-    assert ev.terminal
     assert st.outcome.kind is OutcomeKind.STEP_LIMIT
     assert st.outcome.goal_difference == 0
 
@@ -677,13 +676,21 @@ def _write_config(d):
     return os.path.join(run_training(_tiny_experiment(), d), "config.json")
 
 
+def _run_cli(argv):
+    """Run the command line; a non-zero exit code raises SystemExit."""
+    from pitchlab import cli
+    rc = cli.main(argv)
+    if rc:
+        raise SystemExit(rc)
+
+
 def _write_pass_model(d):
-    from pitchlab import cli, pitch_control as pc
+    from pitchlab import pitch_control as pc
     events, path = os.path.join(d, "events.csv"), os.path.join(d, "fit.json")
     x, k = pc.sample_pass_events(pc.PassModelParams(), 200,
                                  np.random.default_rng(0))
     pc.save_pass_events(events, x, k)
-    cli.main(["fit-pass-model", "--events", events, "--out", path])
+    _run_cli(["fit-pass-model", "--events", events, "--out", path])
     return path
 
 
@@ -712,7 +719,6 @@ def _write_image(d):
 
 def _write_replay(d):
     import yaml
-    from pitchlab import cli
     from pitchlab.vdn import VDNLearner
     cfg = _tiny_experiment()
     cfg_path, ckpt = os.path.join(d, "config.yaml"), os.path.join(d, "ckpt.json")
@@ -722,7 +728,7 @@ def _write_replay(d):
     obs_dim = sim.observation_length(cfg.scenario)
     VDNLearner(cfg.train.learner_config(cfg.scenario.n_defenders, obs_dim,
                                         sim.N_ACTIONS), seed=0).save(ckpt)
-    cli.main(["replay", "--checkpoint", ckpt, "--config", cfg_path,
+    _run_cli(["replay", "--checkpoint", ckpt, "--config", cfg_path,
               "--out", path])
     return path
 
@@ -756,7 +762,8 @@ class _HalfWritten:
                                    _write_checkpoint, _write_config,
                                    _write_pass_model, _write_pass_events,
                                    _write_curve, _write_image, _write_replay])
-def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys,
+                                              write):
     import builtins
     path = write(str(tmp_path))
     before = open(path, "rb").read()
@@ -774,8 +781,15 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
         return f
 
     monkeypatch.setattr(builtins, "open", open_failing)
-    with pytest.raises(OSError):
-        write(str(tmp_path))
+    if write in (_write_pass_model, _write_replay):
+        # the command line reports the failed write on stderr and exits 2
+        with pytest.raises(SystemExit) as exc:
+            write(str(tmp_path))
+        assert exc.value.code == 2
+        assert "disk full" in capsys.readouterr().err
+    else:
+        with pytest.raises(OSError):
+            write(str(tmp_path))
     assert open(path, "rb").read() == before
     assert _files(tmp_path) == files
 
