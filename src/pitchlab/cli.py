@@ -1,10 +1,10 @@
 """Command-line entry point covering the full pipeline.
 
 Exit codes: 0 success, 2 for configuration or input-file problems (a
-`ConfigError`, an `OSError` or a YAML error; the message names the
-offending path or field), 3 for runtime failures inside the numeric
-modules (a `RunFailure`).  `train` exits 3 when any seed's log ends in an
-error row, after the other seeds have trained.
+`ConfigError` or an `OSError`; the message names the offending path or
+field), 3 for runtime failures inside the numeric modules (a
+`RunFailure`).  `train` exits 3 when any seed's log ends in an error row,
+after the other seeds have trained.
 """
 
 from __future__ import annotations
@@ -33,7 +33,16 @@ _FIT_START = pc.PassModelParams(sigma=1.0, lam=0.0)
 
 
 def load_config_dict(path: str) -> dict:
-    doc = yaml.safe_load(sim.read_text(path))
+    """The mapping in the YAML file at `path`.  A syntax error raises
+    ConfigError naming the file, the line and the column."""
+    loader = yaml.SafeLoader(sim.read_text(path))
+    loader.name = path          # error marks name the file, not the text
+    try:
+        doc = loader.get_single_data()
+    except yaml.YAMLError as e:
+        raise ConfigError(str(e)) from None
+    finally:
+        loader.dispose()
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return doc
@@ -57,7 +66,7 @@ def load_experiment(path: str, *, seeds_csv: str | None = None,
 def _cmd_train(args) -> int:
     config = load_experiment(args.config, seeds_csv=args.seeds,
                              baseline=args.baseline)
-    run_dir = trainer_mod.run_training(config, args.out, jobs=args.jobs)
+    run_dir = trainer_mod.run_training(config, args.out)
     print(run_dir)
     failed = False
     for seed in config.seeds:
@@ -223,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated seed override")
     p.add_argument("--baseline", action="store_true",
                    help="force shaping weight to 0")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="the most seeds trained at once; this process "
-                        "trains them one at a time")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", formatter_class=fmt,
@@ -292,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, yaml.YAMLError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RunFailure as e:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import (ConfigError, GameState, PlayerState, RunFailure,
-                  open_atomic, read_text)
+from .sim import ConfigError, GameState, RunFailure, open_atomic, read_text
 
 # logistic(36) is the largest float64 strictly below 1; clamping there keeps
 # outputs inside the open interval (0, 1) for arbitrarily extreme inputs
@@ -198,32 +197,6 @@ def save_pass_events(path: str, x: np.ndarray, k: np.ndarray) -> None:
             writer.writerow([repr(float(xi)), int(ki)])
 
 
-def arrival_time(player: PlayerState, target: tuple[float, float]) -> float:
-    """Seconds for one player to reach a target point: reaction lag plus a
-    straight-line run at top speed."""
-    d = math.hypot(target[0] - player.position[0], target[1] - player.position[1])
-    return player.reaction_time + d / player.max_speed
-
-
-def arrival_time_grid(positions: np.ndarray, max_speeds: np.ndarray,
-                      reaction_times: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(T, P) arrival times of each player at each target, vectorised."""
-    d = np.hypot(targets[:, None, 0] - positions[None, :, 0],
-                 targets[:, None, 1] - positions[None, :, 1])
-    return reaction_times[None, :] + d / max_speeds[None, :]
-
-
-def arrival_advantage(state: GameState, targets: np.ndarray) -> np.ndarray:
-    """Per-target feature: best defender arrival time minus best attacker
-    arrival time.  Positive when the attacking side gets there first."""
-    tau = arrival_time_grid(state.positions, state.max_speeds,
-                            state.reaction_times, targets)
-    att = state.is_attacker
-    tau_att = tau[:, att].min(axis=1)
-    tau_def = tau[:, ~att].min(axis=1)
-    return tau_def - tau_att
-
-
 def compute_control_field(state: GameState,
                           params: PassModelParams) -> np.ndarray:
     """Attacking-team control probability on the pitch grid.
@@ -233,8 +206,8 @@ def compute_control_field(state: GameState,
 
     The arrival times are laid out player-major, (P, grid_m, grid_n): the
     squared x offsets (P, grid_m) and y offsets (P, grid_n) are summed by
-    broadcasting, so a distance is sqrt(dx*dx + dy*dy) where
-    `arrival_advantage` takes np.hypot; the two differ in the last bit of
+    broadcasting, so a distance is sqrt(dx*dx + dy*dy) where the tests'
+    reference oracle takes np.hypot; the two differ in the last bit of
     some distances.  Defenders and the keeper are players 0..gk_index and
     the attackers follow, so the team minima are slices.
     """

@@ -45,11 +45,6 @@ class Team(Enum):
     ATTACKING = "attacking"
 
 
-class Role(Enum):
-    OUTFIELD = "outfield"
-    LAZY_GOALKEEPER = "lazy_goalkeeper"
-
-
 @dataclass(frozen=True)
 class PitchSpec:
     """Pitch geometry and the control/value grid laid over it.
@@ -235,19 +230,6 @@ class StepEvents:
     foul: bool = False
 
 
-@dataclass
-class PlayerState:
-    """Read-only view of one player, materialised from the state arrays."""
-
-    id: int
-    team: Team
-    role: Role
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    max_speed: float
-    reaction_time: float
-
-
 class CarrierOption(Enum):
     DRIBBLE = "dribble"
     PASS = "pass"
@@ -272,9 +254,7 @@ class GameState:
     """Full kinematic snapshot; step() advances it in place.
 
     Player order is fixed: outfield defenders first, then the goalkeeper,
-    then the attackers.  Positions/velocities live in (P, 2) arrays for
-    vectorised access; the `players` property materialises PlayerState
-    views on demand.
+    then the attackers.  Positions/velocities live in (P, 2) arrays.
     """
 
     __slots__ = (
@@ -317,25 +297,6 @@ class GameState:
     @property
     def attacker_indices(self) -> np.ndarray:
         return np.nonzero(self.is_attacker)[0]
-
-    @property
-    def players(self) -> list[PlayerState]:
-        out = []
-        for i in range(self.scenario.n_players):
-            if self.is_attacker[i]:
-                team, role = Team.ATTACKING, Role.OUTFIELD
-            elif i == self.gk_index:
-                team, role = Team.DEFENDING, Role.LAZY_GOALKEEPER
-            else:
-                team, role = Team.DEFENDING, Role.OUTFIELD
-            out.append(PlayerState(
-                id=i, team=team, role=role,
-                position=(float(self.positions[i, 0]), float(self.positions[i, 1])),
-                velocity=(float(self.velocities[i, 0]), float(self.velocities[i, 1])),
-                max_speed=float(self.max_speeds[i]),
-                reaction_time=float(self.reaction_times[i]),
-            ))
-        return out
 
 
 def reset(scenario: ScenarioConfig, seed: int) -> GameState:
@@ -877,12 +838,17 @@ def open_atomic(path: str, mode: str = "w", **open_kw):
     """A file opened (with `mode` and `open_kw`) as a temporary beside
     `path`, which os.replace moves over `path` when the block ends without
     an exception; otherwise the temporary is removed, so a write that fails
-    midway leaves the old file intact."""
+    midway leaves the old file intact.  An OSError on the temporary, in
+    opening or replacing it, names `path` instead."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, mode, **open_kw) as f:
             yield f
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename != tmp:
+            raise
+        raise OSError(e.errno, e.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -324,9 +324,9 @@ def run_training(config: ExperimentConfig, out_dir: str, *,
     directory behind.  A non-convergence error, in the grid's solve or in
     a seed's optimisation, and a diverging seed's DivergenceError are
     recorded as an `error` row in each seed they stop; remaining seeds
-    still run.  `jobs` is the most seeds trained at once; this process
-    trains them one at a time, in `config.seeds` order, in the calling
-    thread.  `jobs` below 1 raises ConfigError before anything is written.
+    still run.  Seeds always train one at a time, in `config.seeds`
+    order, in the calling thread, whatever `jobs` says; `jobs` below 1
+    raises ConfigError before anything is written.
     """
     if jobs < 1:
         raise ConfigError(f"jobs: expected an int >= 1, got {jobs}")

@@ -338,11 +338,6 @@ def _decode_array(text, shape: list[int]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
-def _list_array(values, shape: list[int]) -> np.ndarray:
-    """A version-1 array: a list of floats, row-major."""
-    return np.array(values, dtype=float).reshape(shape)
-
-
 class VDNLearner:
     """Stacked per-agent networks (no parameter sharing) and target copies."""
 
@@ -505,18 +500,17 @@ class VDNLearner:
         must be a non-negative int, there must be `n_agents` agent and
         target networks, each with layer shapes equal to the
         [obs_dim, *hidden, n_actions] pairs, and every weight and bias
-        must be finite.  Version 1, which wrote each array as a list of
-        floats, still loads; version 2 arrays must be valid base64 of
-        exactly the float64 bytes their shape needs.  Any violation raises
-        CheckpointFormatError naming the file and the field."""
+        must be finite.  Only version 2 loads, and its arrays must be valid
+        base64 of exactly the float64 bytes their shape needs.  Any
+        violation raises CheckpointFormatError naming the file and the
+        field."""
         try:
             doc = json.loads(read_text(path, CheckpointFormatError))
         except json.JSONDecodeError as e:
             raise CheckpointFormatError(f"{path}: not valid JSON ({e})") from e
         version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version not in (1, 2):
+        if type(version) is not int or version != 2:
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version")
-        decode = _decode_array if version == 2 else _list_array
         for key in ("train_step", "config", "agents", "targets"):
             if key not in doc:
                 raise CheckpointFormatError(f"{path}: missing key '{key}'")
@@ -539,9 +533,9 @@ class VDNLearner:
                 raise CheckpointFormatError(
                     f"{path}: {where}.layer_shapes: expected {shapes} from config")
             try:
-                ws = [decode(w, s)
+                ws = [_decode_array(w, s)
                       for w, s in zip(d["weights"], shapes, strict=True)]
-                bs = [decode(b, s[1:])
+                bs = [_decode_array(b, s[1:])
                       for b, s in zip(d["biases"], shapes, strict=True)]
             except (KeyError, TypeError, ValueError) as e:
                 raise CheckpointFormatError(f"{path}: {where}: {e}") from None

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -76,7 +78,9 @@ def test_an_out_path_below_a_regular_file_exits_2_and_names_it(
     # main returns the code: the OSError does not escape as a traceback
     rc = main([a.format(cfg=cfg, file=regular) for a in argv])
     assert rc == 2
-    assert f"Not a directory: '{regular}/" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"Not a directory: '{regular}/" in err
+    assert ".tmp" not in err            # the path given, not a temporary
     assert sorted(os.listdir(tmp_path)) == ["afile", "config.yaml"]
     assert regular.read_text() == "kept\n"
 
@@ -117,6 +121,17 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
     rc = main(["curve", "--runs", "run", "--out", "curve.csv"])
     assert rc == (3 if issubclass(error, sim.RunFailure) else 2)
     assert "forced" in capsys.readouterr().err
+
+
+def test_a_yaml_syntax_error_exits_2_and_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("scenario: [1,\n")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f'in "{path}", line 2, column 1' in err
+    assert "<unicode string>" not in err
+    assert os.listdir(tmp_path) == ["bad.yaml"]
 
 
 def test_non_mapping_config_exits_2(tmp_path, capsys):
@@ -446,8 +461,9 @@ def test_pitch_flags_are_usage_errors(tmp_path, capsys, command, flag):
      "--init-lambda"),
     (["eval", "--checkpoint", "{tmp}/ckpt.json", "--config", "{tmp}/c.yaml"],
      "--episodes"),
+    (["train", "--config", "{tmp}/c.yaml"], "--jobs"),
 ], ids=["solve-epv-tol", "fit-tol", "fit-init-sigma", "fit-init-lambda",
-        "eval-episodes"])
+        "eval-episodes", "train-jobs"])
 def test_removed_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main([a.format(tmp=tmp_path) for a in argv] + [flag, "1"])
@@ -457,11 +473,9 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["train", "--jobs", "0"], "--jobs: expected an int >= 1, got 0"),
-    (["train", "--jobs", "-3"], "--jobs: expected an int >= 1, got -3"),
     (["render-field", "--checkpoint", "{tmp}/ckpt.json", "--at-step", "-5",
       "--out", "{tmp}/scene.ppm"], "--at-step: expected an int >= 0, got -5"),
-], ids=["jobs-0", "jobs-negative", "at-step-negative"])
+], ids=["at-step-negative"])
 def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv,
                                                      message):
     cfg_path = write_yaml(tmp_path / "config.yaml", micro_config_dict())
@@ -911,6 +925,22 @@ def test_state_file_that_is_not_json_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "x.ppm")])
     assert rc == 2
     assert str(path) in capsys.readouterr().err
+
+
+# -- documentation ------------------------------------------------------------------
+
+def test_every_option_is_named_in_the_readme():
+    readme_path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme_path, encoding="utf-8") as f:
+        readme = f.read()
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = [(name, opt) for name, sub in commands.choices.items()
+               for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
+    missing = [f"{name} {opt}" for name, opt in options
+               if not re.search(rf"{re.escape(opt)}(?![\w-])", readme)]
+    assert missing == []
 
 
 # -- console entry point -------------------------------------------------------------

@@ -153,33 +153,51 @@ def test_pass_events_bad_header(tmp_path):
         pc.load_pass_events(str(path))
 
 
-# -- arrival times ------------------------------------------------------------
+# -- arrival times: the field's reference oracle ---------------------------------
+
+def arrival_time_grid(positions, max_speeds, reaction_times, targets):
+    """(T, P) seconds for each player to reach each target: reaction lag
+    plus a straight-line run at top speed."""
+    d = np.hypot(targets[:, None, 0] - positions[None, :, 0],
+                 targets[:, None, 1] - positions[None, :, 1])
+    return reaction_times[None, :] + d / max_speeds[None, :]
+
+
+def arrival_advantage(state, targets):
+    """Per-target feature: best defender arrival time minus best attacker
+    arrival time.  Positive when the attacking side gets there first."""
+    tau = arrival_time_grid(state.positions, state.max_speeds,
+                            state.reaction_times, targets)
+    att = state.is_attacker
+    return tau[:, ~att].min(axis=1) - tau[:, att].min(axis=1)
+
 
 def test_arrival_time_zero_distance_is_reaction():
     st = make_state()
-    p = st.players[0]
-    assert pc.arrival_time(p, p.position) == p.reaction_time
+    tau = arrival_time_grid(st.positions, st.max_speeds, st.reaction_times,
+                            st.positions)
+    assert np.array_equal(np.diag(tau), st.reaction_times)
 
 
 def test_arrival_time_hand_arithmetic():
-    player = sim.PlayerState(
-        id=0, team=sim.Team.DEFENDING, role=sim.Role.OUTFIELD,
-        position=(10.0, 10.0), velocity=(0.0, 0.0),
-        max_speed=8.0, reaction_time=0.5)
-    assert pc.arrival_time(player, (30.0, 10.0)) == 0.5 + 20.0 / 8.0
-    assert pc.arrival_time(player, (30.0, 10.0)) == 3.0
-    assert pc.arrival_time(player, (18.0, 10.0)) == 0.5 + 1.0
+    def arrival(target):   # one player at (10, 10), 8 m/s, 0.5 s lag
+        return arrival_time_grid(np.array([[10.0, 10.0]]), np.array([8.0]),
+                                 np.array([0.5]), np.array([target]))[0, 0]
+    assert arrival((30.0, 10.0)) == 0.5 + 20.0 / 8.0
+    assert arrival((30.0, 10.0)) == 3.0
+    assert arrival((18.0, 10.0)) == 0.5 + 1.0
 
 
 def test_arrival_time_grid_matches_scalar():
     st = make_state(n_def=2, n_att=3, seed=4)
     targets = st.scenario.pitch.cell_centers[:40]
-    grid = pc.arrival_time_grid(st.positions, st.max_speeds,
-                                st.reaction_times, targets)
-    players = st.players
-    for ti, t in enumerate(targets):
-        for pi, pl in enumerate(players):
-            assert abs(grid[ti, pi] - pc.arrival_time(pl, t)) < 1e-12
+    grid = arrival_time_grid(st.positions, st.max_speeds,
+                             st.reaction_times, targets)
+    for ti, (tx, ty) in enumerate(targets):
+        for pi, (px, py) in enumerate(st.positions):
+            scalar = (st.reaction_times[pi]
+                      + math.hypot(tx - px, ty - py) / st.max_speeds[pi])
+            assert abs(grid[ti, pi] - scalar) < 1e-12
 
 
 # -- control field ------------------------------------------------------------
@@ -203,7 +221,7 @@ def test_field_matches_the_arrival_advantage_logistic(
     n_states = 0
     for st in random_action_states(sc):
         want = pc.pass_success_probability(
-            params, pc.arrival_advantage(st, pitch.cell_centers))
+            params, arrival_advantage(st, pitch.cell_centers))
         got = pc.compute_control_field(st, params)
         assert got.shape == (pitch.grid_m, pitch.grid_n)
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
@@ -270,8 +288,8 @@ def test_translation_consistency():
     rng = np.random.default_rng(13)
     st = make_state(n_def=2, n_att=2, seed=3)
     targets = np.array([[30.0, 30.0], [50.0, 20.0]])
-    adv = pc.arrival_advantage(st, targets)
+    adv = arrival_advantage(st, targets)
     shift = np.array([5.0, -3.0])
     st.positions += shift
-    adv2 = pc.arrival_advantage(st, targets + shift)
+    adv2 = arrival_advantage(st, targets + shift)
     assert np.allclose(adv, adv2, atol=1e-12)

@@ -14,10 +14,8 @@ from pitchlab.sim import (
     DefenderAction,
     OutcomeKind,
     PitchSpec,
-    Role,
     ScenarioConfig,
     SteppedTerminalError,
-    Team,
 )
 
 STAY = DefenderAction.STAY.value
@@ -131,12 +129,16 @@ def test_reset_seeds_differ():
 
 
 def test_reset_team_and_role_assignment():
+    # outfield defenders, then the goalkeeper, then the attackers; the
+    # keeper and the attackers have speeds of their own
     st = sim.reset(small_scenario(), 0)
-    players = st.players
-    assert [p.team for p in players[:2]] == [Team.DEFENDING] * 2
-    assert players[2].role is Role.LAZY_GOALKEEPER
-    assert all(p.team is Team.ATTACKING for p in players[3:])
-    assert all(p.role is Role.OUTFIELD for p in players[3:])
+    n_att = st.scenario.n_attackers
+    assert st.is_attacker.tolist() == [False] * 3 + [True] * n_att
+    assert st.gk_index == 2
+    assert st.max_speeds.tolist() == (
+        [sim.MAX_SPEED] * 2 + [sim.GK_CONTROL_SPEED]
+        + [sim.MAX_SPEED * sim.ATTACKER_SPEED_FACTOR] * n_att)
+    assert st.reaction_times.tolist() == [sim.REACTION_TIME] * (3 + n_att)
 
 
 def test_reset_players_inside_pitch():

@@ -833,7 +833,8 @@ def test_buffer_rejects_zero_capacity():
 # -- checkpoints ---------------------------------------------------------------------
 
 def v1_document(learner):
-    """The version-1 layout: every array a list of floats."""
+    """The version-1 layout, every array a list of floats, which no longer
+    loads."""
     def params(net):
         return {"layer_shapes": [list(w.shape) for w in net.weights],
                 "weights": [w.ravel().tolist() for w in net.weights],
@@ -881,22 +882,6 @@ def test_save_refuses_a_non_finite_weight_and_keeps_the_old_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
 
 
-def test_checkpoint_version_1_still_loads_bit_exact(tmp_path):
-    cfg = tiny_config(n_agents=2, obs_dim=4, n_actions=3, hidden=(6, 5))
-    learner = VDNLearner(cfg, seed=17)
-    batch = random_batch(cfg, np.random.default_rng(9), size=4)
-    for _ in range(3):
-        learner.td_update(batch)
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps(v1_document(learner)))
-    loaded = VDNLearner.load(str(path))
-    assert loaded.config == cfg
-    assert loaded.train_step == 3
-    assert nets_equal(loaded.agents, learner.agents)
-    assert nets_equal(loaded.targets, learner.targets)
-    assert not nets_equal(loaded.agents, loaded.targets)
-
-
 def test_checkpoint_preserves_distinct_target(tmp_path):
     cfg = tiny_config()
     learner = VDNLearner(cfg, seed=1)
@@ -925,6 +910,10 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointFormatError, match="version"):
             VDNLearner.load(str(path))
+    path.write_text(json.dumps(v1_document(learner)))
+    with pytest.raises(CheckpointFormatError) as info:
+        VDNLearner.load(str(path))
+    assert str(info.value) == f"{path}: unsupported checkpoint version"
 
 
 def test_checkpoint_rejects_missing_key(tmp_path):
@@ -1014,30 +1003,6 @@ def test_checkpoint_load_validates_every_field(tmp_path, mutate, field):
     doc = json.loads(path.read_text())
     assert doc["version"] == 2
     mutate(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointFormatError) as info:
-        VDNLearner.load(str(path))
-    assert str(path) in str(info.value)
-    assert f"{field}:" in str(info.value)
-
-
-@pytest.mark.parametrize("mutate, field", [
-    (_pop("targets", 1), "targets"),
-    (_set("agents", 0, "weights", 0, 2, value=float("nan")), "agents[0]"),
-    (_set("targets", 1, "biases", 1, 0, value=float("inf")), "targets[1]"),
-    (_set("config", "hidden", value=[6]), "agents[0].layer_shapes"),
-    (_pop("agents", 1, "biases", 0, 0), "agents[1]"),
-    (_pop("targets", 0, "weights", 1), "targets[0]"),
-    (_set("config", "n_agents", value="2"), "config.n_agents"),
-    (_pop("config", "lr"), "config.lr"),
-    (_set("config", "gamma", value=float("nan")), "config.gamma"),
-    (_set("train_step", value="7"), "train_step"),
-])
-def test_checkpoint_version_1_load_validates_every_field(tmp_path, mutate,
-                                                         field):
-    doc = v1_document(VDNLearner(tiny_config(), seed=0))
-    mutate(doc)
-    path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointFormatError) as info:
         VDNLearner.load(str(path))
