@@ -1010,6 +1010,32 @@ def test_checkpoint_load_validates_every_field(tmp_path, mutate, field):
     assert f"{field}:" in str(info.value)
 
 
+@pytest.mark.parametrize("mutate, field", [
+    (_pop("targets", 1), "targets"),
+    (_set("agents", 0, "weights", 0, 2, value=float("nan")), "agents[0]"),
+    (_set("targets", 1, "biases", 1, 0, value=float("inf")), "targets[1]"),
+    (_set("config", "hidden", value=[6]), "agents[0].layer_shapes"),
+    (_pop("agents", 1, "biases", 0, 0), "agents[1]"),
+    (_pop("targets", 0, "weights", 1), "targets[0]"),
+    (_set("config", "n_agents", value="2"), "config.n_agents"),
+    (_pop("config", "lr"), "config.lr"),
+    (_set("config", "gamma", value=float("nan")), "config.gamma"),
+    (_set("train_step", value="7"), "train_step"),
+])
+def test_checkpoint_version_1_load_validates_every_field(tmp_path, mutate,
+                                                         field):
+    """A version-1 document is refused on its version before any field is
+    read, so a broken field never yields a field error or a learner."""
+    doc = v1_document(VDNLearner(tiny_config(), seed=0))
+    mutate(doc)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointFormatError) as info:
+        VDNLearner.load(str(path))
+    assert str(info.value) == f"{path}: unsupported checkpoint version"
+    assert f"{field}:" not in str(info.value)
+
+
 def test_checkpoint_rejects_agent_count_mismatch(tmp_path):
     cfg = tiny_config()
     learner = VDNLearner(cfg, seed=0)
