@@ -34,15 +34,19 @@ _FIT_START = pc.PassModelParams(sigma=1.0, lam=0.0)
 
 def load_config_dict(path: str) -> dict:
     """The mapping in the YAML file at `path`.  A syntax error raises
-    ConfigError naming the file, the line and the column."""
-    loader = yaml.SafeLoader(sim.read_text(path))
-    loader.name = path          # error marks name the file, not the text
+    ConfigError naming the file and where in it the error is."""
+    text = sim.read_text(path)
     try:
-        doc = loader.get_single_data()
+        loader = yaml.SafeLoader(text)
+        loader.name = path      # error marks name the file, not the text
+        try:
+            doc = loader.get_single_data()
+        finally:
+            loader.dispose()
     except yaml.YAMLError as e:
+        if isinstance(e, yaml.reader.ReaderError):
+            e.name = path       # a control character, refused before `name`
         raise ConfigError(str(e)) from None
-    finally:
-        loader.dispose()
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return doc

@@ -85,6 +85,24 @@ def test_an_out_path_below_a_regular_file_exits_2_and_names_it(
     assert regular.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["render-field", "--what", "epv", "--out", "{dir}"],
+    ["solve-epv", "--out", "{dir}"],
+], ids=["render-field", "solve-epv"])
+def test_an_out_path_that_is_a_directory_exits_2_and_names_it(
+        tmp_path, capsys, argv):
+    # the temporary beside the path opens; moving it over the path fails
+    out = tmp_path / "adir"
+    out.mkdir()
+    rc = main([a.format(dir=out) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{out}'" in err
+    assert ".tmp" not in err
+    assert os.listdir(tmp_path) == ["adir"]
+    assert os.listdir(out) == []
+
+
 def _defined_exception_classes():
     """Every exception class a pitchlab module defines."""
     import importlib
@@ -123,13 +141,18 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
     assert "forced" in capsys.readouterr().err
 
 
-def test_a_yaml_syntax_error_exits_2_and_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("text, where", [
+    ("scenario: [1,\n", "line 2, column 1"),
+    ("scenario: \x01\n", "position 10"),
+], ids=["unclosed-list", "control-character"])
+def test_a_yaml_syntax_error_exits_2_and_names_the_file(tmp_path, capsys,
+                                                        text, where):
     path = tmp_path / "bad.yaml"
-    path.write_text("scenario: [1,\n")
+    path.write_text(text)
     rc = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f'in "{path}", line 2, column 1' in err
+    assert f'in "{path}", {where}' in err
     assert "<unicode string>" not in err
     assert os.listdir(tmp_path) == ["bad.yaml"]
 

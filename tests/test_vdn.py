@@ -1033,7 +1033,6 @@ def test_checkpoint_version_1_load_validates_every_field(tmp_path, mutate,
     with pytest.raises(CheckpointFormatError) as info:
         VDNLearner.load(str(path))
     assert str(info.value) == f"{path}: unsupported checkpoint version"
-    assert f"{field}:" not in str(info.value)
 
 
 def test_checkpoint_rejects_agent_count_mismatch(tmp_path):
