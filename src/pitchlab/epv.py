@@ -9,14 +9,13 @@ scoring, and missed shots are absorbing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sim import (ConfigError, PitchSpec, RunFailure, is_finite_number,
-                  read_text, write_json_atomic)
+                  read_json_object, write_json_atomic)
 
 # move-slot order along the last axis of PossessionChain.move
 SELF, XP, XM, YP, YM = 0, 1, 2, 3, 4
@@ -202,10 +201,6 @@ def save_epv_grid(path: str, values: np.ndarray, pitch: PitchSpec) -> None:
     })
 
 
-_GRID_KEYS = ("version", "length", "width", "goal_half_width", "m", "n",
-              "values")
-
-
 def load_epv_grid(path: str, pitch: PitchSpec | None = None
                   ) -> tuple[np.ndarray, dict]:
     """Read a value grid; returns (values, geometry dict).
@@ -217,20 +212,8 @@ def load_epv_grid(path: str, pitch: PitchSpec | None = None
     the field when a given `pitch` has another grid shape, length, width
     or goal half-width.
     """
-    try:
-        doc = json.loads(read_text(path, FormatError))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be an object")
-    if doc.get("version") != 1:
-        raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
-    for key in _GRID_KEYS:
-        if key not in doc:
-            raise FormatError(f"{path}: missing key '{key}'")
-    unknown = sorted(set(doc) - set(_GRID_KEYS))
-    if unknown:
-        raise FormatError(f"{path}: {unknown[0]}: unknown field")
+    doc = read_json_object(path, FormatError, 1, (
+        "length", "width", "goal_half_width", "m", "n", "values"))
 
     def require(ok: bool, key: str, what: str) -> None:
         if not ok:

@@ -833,6 +833,33 @@ def read_text(path: str, error: type[Exception] = ConfigError) -> str:
                     f"{e.start})") from None
 
 
+def read_json_object(path: str, error: type[Exception], version: int,
+                     keys: tuple[str, ...], optional: tuple[str, ...] = ()
+                     ) -> dict:
+    """The JSON object in the file at `path`, after the checks every
+    artifact file shares: valid JSON, an object at the top, a "version"
+    that is the int `version`, every one of `keys`, and no key outside
+    "version", `keys` and `optional`.  Each failure raises `error` naming
+    the file and the key."""
+    try:
+        doc = json.loads(read_text(path, error))
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key in ("version", *keys):
+        if key not in doc:
+            raise error(f"{path}: {key}: missing field")
+        if key == "version" and not (type(doc[key]) is int
+                                     and doc[key] == version):
+            raise error(f"{path}: version: expected {version}, "
+                        f"got {json.dumps(doc[key])[:60]}")
+    unknown = sorted(set(doc) - {"version", *keys, *optional})
+    if unknown:
+        raise error(f"{path}: {unknown[0]}: unknown field")
+    return doc
+
+
 @contextmanager
 def open_atomic(path: str, mode: str = "w", **open_kw):
     """A file opened (with `mode` and `open_kw`) as a temporary beside
@@ -899,19 +926,10 @@ def load_state(path: str) -> GameState:
     """Read a file written by save_state, checking every field against the
     scenario it carries.  Any violation raises ConfigError naming the file
     and the field."""
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ConfigError(f"unsupported state file version in {path}")
-    fields = {"version", "scenario", "positions", "velocities", "ball_pos",
-              "ball_vel", "carrier", "kick_shield", "step_index",
-              "score_events", "terminal", "outcome", "rng_state"}
-    if set(doc) != fields:
-        key = sorted(set(doc) ^ fields)[0]
-        raise ConfigError(f"{path}: {key}: "
-                          f"{'unknown' if key in doc else 'missing'} field")
+    doc = read_json_object(path, ConfigError, 1, (
+        "scenario", "positions", "velocities", "ball_pos", "ball_vel",
+        "carrier", "kick_shield", "step_index", "score_events", "terminal",
+        "outcome", "rng_state"))
     try:
         sc = config_from_dict(ScenarioConfig, doc["scenario"], "scenario")
     except ConfigError as e:

@@ -16,14 +16,13 @@ differentiable everywhere, which finite-difference gradient checks rely on.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sim import (ConfigError, RunFailure, config_from_dict, config_to_dict,
-                  read_text, write_json_atomic)
+                  read_json_object, write_json_atomic)
 
 
 class ShapeMismatchError(ValueError, RunFailure):
@@ -268,10 +267,12 @@ class ReplayBuffer:
             raise ConfigError("capacity must be >= 1")
         self.capacity = capacity
         self.n_agents = n_agents
-        self.obs = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros((capacity, n_agents), dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.terminals = np.zeros(capacity)
+        # uninitialised: sample never returns a row at or past len(self),
+        # and an unwritten row costs no resident memory
+        self.obs = np.empty((capacity, obs_dim))
+        self.actions = np.empty((capacity, n_agents), dtype=np.int64)
+        self.rewards = np.empty(capacity)
+        self.terminals = np.empty(capacity)
         self._side: dict[int, bytes] = {}
         self._next = 0
         self._size = 0
@@ -504,16 +505,8 @@ class VDNLearner:
         base64 of exactly the float64 bytes their shape needs.  Any
         violation raises CheckpointFormatError naming the file and the
         field."""
-        try:
-            doc = json.loads(read_text(path, CheckpointFormatError))
-        except json.JSONDecodeError as e:
-            raise CheckpointFormatError(f"{path}: not valid JSON ({e})") from e
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version != 2:
-            raise CheckpointFormatError(f"{path}: unsupported checkpoint version")
-        for key in ("train_step", "config", "agents", "targets"):
-            if key not in doc:
-                raise CheckpointFormatError(f"{path}: missing key '{key}'")
+        doc = read_json_object(path, CheckpointFormatError, 2, (
+            "train_step", "config", "agents", "targets"), optional=("extra",))
         try:
             config = config_from_dict(LearnerConfig, doc["config"], "config")
         except ConfigError as e:

@@ -263,6 +263,57 @@ def test_non_utf8_input_exits_and_names_the_file(tmp_path, capsys, argv, code):
     assert sorted(os.listdir(tmp_path)) == ["config.yaml", "input"]
 
 
+def _save_artifact(kind, path):
+    if kind == "state":
+        sim.save_state(sim.reset(ScenarioConfig(n_defenders=1, n_attackers=1),
+                                 0), path)
+    elif kind == "checkpoint":
+        VDNLearner(LearnerConfig(n_agents=1, obs_dim=3, n_actions=2,
+                                 hidden=(4,)), seed=0).save(path)
+    else:
+        small = sim.PitchSpec(grid_m=4, grid_n=3)
+        epv.save_epv_grid(path, epv.solve_epv(epv.default_chain(small)), small)
+
+
+@pytest.mark.parametrize("fault", ["list", "version-true", "version-float",
+                                   "version-string", "missing", "unknown"])
+@pytest.mark.parametrize("kind, argv, code, required", [
+    ("state", ["render-field", "--state", "{bad}", "--out", "{tmp}/x.ppm"],
+     2, "positions"),
+    ("checkpoint", ["eval", "--checkpoint", "{bad}", "--config", "{cfg}"],
+     3, "agents"),
+    ("grid", ["render-field", "--what", "epv", "--epv-grid", "{bad}",
+              "--out", "{tmp}/x.ppm"], 3, "values"),
+], ids=["state", "checkpoint", "grid"])
+def test_a_file_with_a_broken_envelope_exits_and_names_the_file_and_key(
+        tmp_path, capsys, kind, argv, code, required, fault):
+    """State files, value grids and checkpoints share their top-level
+    checks: an object, an int version, every key and no other."""
+    bad = tmp_path / "input"
+    _save_artifact(kind, str(bad))
+    doc = json.loads(bad.read_text())
+    version = doc["version"]
+    if fault == "list":
+        doc, message = [doc], "expected a JSON object, got list"
+    elif fault.startswith("version-"):
+        doc["version"] = {"true": True, "float": float(version),
+                          "string": str(version)}[fault[len("version-"):]]
+        message = (f"version: expected {version}, "
+                   f"got {json.dumps(doc['version'])}")
+    elif fault == "missing":
+        del doc[required]
+        message = f"{required}: missing field"
+    else:
+        doc["bogus"] = 1
+        message = "bogus: unknown field"
+    bad.write_text(json.dumps(doc))
+    cfg = write_yaml(tmp_path / "config.yaml", micro_config_dict())
+    rc = main([a.format(bad=bad, tmp=tmp_path, cfg=cfg) for a in argv])
+    assert rc == code
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "input"]
+
+
 def test_train_on_a_grid_with_a_nan_value_exits_3(tmp_path, capsys):
     pitch = sim.PitchSpec()
     grid = tmp_path / "grid.json"
@@ -926,6 +977,8 @@ def _terminal_with(outcome):
     (_set("scenario", "dt", value=0.1), "scenario.dt"),
     (_del("velocities"), "velocities"),
     (_set("ghost", value=1), "ghost"),
+    (_set("version", value=True), "version"),
+    (_set("version", value=1.0), "version"),
 ])
 def test_malformed_state_file_exits_2_and_names_field(tmp_path, capsys,
                                                       mutate, field):
@@ -968,18 +1021,24 @@ def test_every_option_is_named_in_the_readme():
 
 # -- console entry point -------------------------------------------------------------
 
+def _run_python(*args):
+    """`python *args` with the directory this pitchlab was imported from
+    first on PYTHONPATH, so the child runs it without an install."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_python_m_pitchlab_runs():
-    proc = subprocess.run([sys.executable, "-m", "pitchlab", "--help"],
-                          capture_output=True, text=True)
+    proc = _run_python("-m", "pitchlab", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: pitchlab")
 
 
 def test_installed_script_runs(tmp_path):
     out = tmp_path / "grid.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pitchlab.cli", "solve-epv", "--out", str(out),
-         "--config", pitch_config(tmp_path, grid_m=4, grid_n=3)],
-        capture_output=True, text=True)
+    proc = _run_python("-m", "pitchlab.cli", "solve-epv", "--out", str(out),
+                       "--config", pitch_config(tmp_path, grid_m=4, grid_n=3))
     assert proc.returncode == 0
     assert epv.load_epv_grid(str(out))[0].shape == (4, 3)

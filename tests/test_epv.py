@@ -313,6 +313,8 @@ def test_grid_file_errors(tmp_path):
             ({"n": True}, "n"),
             ({"m": "2"}, "m"),
             ({"units": "metres"}, "units"),
+            ({"version": True}, "version"),
+            ({"version": 1.0}, "version"),
     ]):
         path = write(dict(good, **change), f"bad{i}.json")
         with pytest.raises(epv.FormatError,
